@@ -58,7 +58,6 @@ from .patchwork import (
     evaluate_condition,
     evaluate_truncated_solution,
     hs_lower_bound_partial_sums,
-    hs_lower_bound_series,
     make_piece,
     partial_loss_schedule,
     place_cubes,

@@ -25,7 +25,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, help="protocol seed")
     parser.add_argument("--grid", type=int, dest="grid_points", help="grid points per side")
-    parser.add_argument("--threads", type=int, help="worker threads for sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,11 +98,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        bundle = run_experiment(_config_from_args(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    bundle = run_experiment(config)
     written = emit_report(bundle, args.out)
     for line in bundle.summary:
         print(line)

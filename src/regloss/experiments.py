@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .fields import Grid, Cube, demean, make_bump
@@ -73,7 +72,6 @@ class ExperimentConfig:
     seed: int = 5
     dimension: int = 2
     grid_points: int = 256
-    threads: int = 1
     # mixing protocol: shear displacement 0.4 per step, strong steady mixing
     steps: int = 20
     step_duration: float = 0.125
@@ -120,8 +118,6 @@ class ExperimentConfig:
             raise ConfigError(f"dimension: must be >= 2, got {self.dimension}")
         if self.grid_points < 4 or self.grid_points & (self.grid_points - 1):
             raise ConfigError(f"grid_points: must be a power of two >= 4, got {self.grid_points}")
-        if self.threads < 1:
-            raise ConfigError(f"threads: must be >= 1, got {self.threads}")
         if self.steps < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if self.step_duration <= 0:
@@ -213,14 +209,22 @@ def _protocol(config: ExperimentConfig) -> FlowMap:
     )
 
 
-def _measured_rates(config: ExperimentConfig) -> tuple[float, float, MixerConstants | None]:
-    """Injected (b, c) when configured, else measured from the seeded protocol."""
-    if config.rate_b is not None and config.rate_c is not None:
-        return config.rate_b, config.rate_c, None
+def _measured_constants(config: ExperimentConfig, order: float):
+    """Datum and constants of the seeded 2-d protocol, with the decay prefactor at ``order``."""
     grid = Grid(2, min(config.grid_points, 256))
     datum = _datum(replace(config, dimension=2, datum_center=config.datum_center[:2]), grid)
     flow = _protocol(replace(config, dimension=2))
-    constants, _ = estimate_mixer_constants(flow, datum)
+    constants, _ = estimate_mixer_constants(flow, datum, decay_orders=(order, 1.0))
+    return datum, constants
+
+
+def _measured_rates(
+    config: ExperimentConfig, order: float = 0.5
+) -> tuple[float, float, MixerConstants | None]:
+    """Injected (b, c) when configured, else measured from the seeded protocol."""
+    if config.rate_b is not None and config.rate_c is not None:
+        return config.rate_b, config.rate_c, None
+    _, constants = _measured_constants(config, order)
     b = config.rate_b if config.rate_b is not None else constants.growth_rate
     c = config.rate_c if config.rate_c is not None else constants.mixing_rate
     return b, c, constants
@@ -289,17 +293,11 @@ def _certify_total(config: ExperimentConfig, bundle: ReportBundle) -> None:
                 evaluate_condition(schedule, Condition.DATUM_NORM, sigma=sigma)
             )
         bundle.certificates.append(evaluate_condition(schedule, Condition.DATUM_BOUND))
-
-        def _blowup(st):
-            s, t = st
-            return evaluate_condition(schedule, Condition.NORM_BLOWUP, s=s, t=t, c=c_rate)
-
         pairs = [(s, t) for s in config.s_grid for t in config.t_grid]
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                certs = list(pool.map(_blowup, pairs))
-        else:
-            certs = [_blowup(st) for st in pairs]
+        certs = [
+            evaluate_condition(schedule, Condition.NORM_BLOWUP, s=s, t=t, c=c_rate)
+            for s, t in pairs
+        ]
         bundle.certificates.extend(certs)
         rows = [
             (d, s, t, cert.verdict)
@@ -372,7 +370,7 @@ def _certify_partial(config: ExperimentConfig, bundle: ReportBundle) -> None:
 
 
 def _run_sweep(config: ExperimentConfig, bundle: ReportBundle) -> None:
-    b, c, constants = _measured_rates(config)
+    b, c, constants = _measured_rates(config, config.sweep_order)
     if constants is None:
         raise ConfigError(
             "rate_b/rate_c: lower-bound sweep needs measured prefactors; "
@@ -404,9 +402,7 @@ def _run_sweep(config: ExperimentConfig, bundle: ReportBundle) -> None:
 
 
 def _run_solve(config: ExperimentConfig, bundle: ReportBundle) -> None:
-    base_grid = Grid(2, min(config.grid_points, 256))
-    datum = _datum(replace(config, dimension=2, datum_center=config.datum_center[:2]), base_grid)
-    constants, _ = estimate_mixer_constants(_protocol(replace(config, dimension=2)), datum)
+    datum, constants = _measured_constants(config, config.solve_order)
     schedule = total_loss_schedule(dimension=2)
     n_pieces = config.pieces
     max_local = max(config.solve_times) * n_pieces**3

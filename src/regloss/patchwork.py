@@ -22,19 +22,20 @@ inside a window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .fields import Box, Cube, Grid, ScalarField
-from .mixing import FlowMap, MixerConstants, exact_solution_at
+from .fields import Box, Cube, GeometryError, Grid, ScalarField
+from .mixing import INTERPOLATION_ORDER, FlowMap, MixerConstants, exact_solution_at
 from .series import (
     ExpPolySeries,
     classify,
     classify_bounded,
     exp_factor,
+    partial_sums,
     product_and_power,
     tail_sum,
 )
@@ -56,12 +57,9 @@ __all__ = [
     "place_cubes",
     "evaluate_condition",
     "blowup_time",
-    "hs_lower_bound_series",
     "hs_lower_bound_partial_sums",
     "evaluate_truncated_solution",
 ]
-
-_LOG_FLOAT_MAX = 709.0
 
 
 class UnsupportedScheduleError(ValueError):
@@ -429,62 +427,35 @@ def blowup_time(s: float, sigma: float, alpha: float, c: float, horizon: float) 
     return (sigma - s) * alpha * horizon / (s * c)
 
 
-def _lower_bound_terms(
-    schedule: Schedule,
-    s: float,
-    t: float,
-    upto: int,
-    constants: MixerConstants,
-    d: int,
-) -> list[float]:
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"order must lie in (0, 1), got {s}")
-    m = _clock_degree(schedule.tau)
-    base = product_and_power([schedule.gamma, schedule.lam], [2.0, d - 2.0 * s])
-    c_s = constants.lower_prefactor(s)
-    c_d = sphere_surface_area(d)
-    log_pos_coeff = 2.0 * math.log(c_s)
-    log_neg_coeff = math.log(c_d * constants.l2_norm**2 / s)
-    terms = []
-    for n in range(base.start, upto + 1):
-        lt = base.log_term(n)
-        clock = 2.0 * s * constants.mixing_rate * t * float(n) ** m
-        log_pos = lt + log_pos_coeff + clock
-        log_neg = lt + log_neg_coeff
-        pos = math.inf if log_pos > _LOG_FLOAT_MAX else math.exp(log_pos)
-        neg = math.inf if log_neg > _LOG_FLOAT_MAX else math.exp(log_neg)
-        terms.append(pos - neg)
-    return terms
-
-
-def hs_lower_bound_series(
-    schedule: Schedule, s: float, t: float, upto: int, constants: MixerConstants, d: int
-) -> float:
-    """Partial sum of the certified lower bound for the squared order-s norm.
-
-    Term n is gamma_n^2 * lam_n^(d-2s) * [C_s^2 exp(2*s*c*t/tau_n)
-    - C_d * C_0^2 / s], with C_s the measured growth prefactor, C_0 the
-    conserved L2 norm and C_d the unit-sphere area.  The sum saturates at
-    +inf once a term overflows; it is unbounded in the truncation exactly
-    when the blow-up condition diverges.
-    """
-    terms = _lower_bound_terms(schedule, s, t, upto, constants, d)
-    if any(math.isinf(x) for x in terms):
-        return math.inf
-    return math.fsum(terms)
-
-
 def hs_lower_bound_partial_sums(
     schedule: Schedule, s: float, t: float, upto: int, constants: MixerConstants, d: int
 ) -> list[float]:
-    """Running partial sums of the lower bound, saturating at +inf."""
-    terms = _lower_bound_terms(schedule, s, t, upto, constants, d)
-    out = []
-    acc = 0.0
-    for x in terms:
-        acc = acc + x if not math.isinf(acc) else acc
-        out.append(acc)
-    return out
+    """Running partial sums of the certified lower bound for the squared order-s norm.
+
+    Term n is gamma_n^2 * lam_n^(d-2s) * [C_s^2 exp(2*s*c*t/tau_n)
+    - C_d * C_0^2 / s], with C_s the measured growth prefactor, C_0 the
+    conserved L2 norm and C_d the unit-sphere area: C_s^2 times the
+    condition-D series minus C_d * C_0^2 / s times gamma_n^2 * lam_n^(d-2s).
+    ``series.partial_sums`` adds the terms: correctly rounded, saturating at
+    the signed infinity of the first overflowing term or partial sum (an
+    overflowing term takes the sign of the part with the larger
+    ``log_term``), never NaN.  The sums are unbounded in the truncation
+    exactly when the blow-up condition diverges.
+    """
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"order must lie in (0, 1), got {s}")
+    if d != schedule.dimension:
+        raise ValueError(f"dimension {d} differs from the schedule's {schedule.dimension}")
+    blowup = evaluate_condition(
+        schedule, Condition.NORM_BLOWUP, s=s, t=t, c=constants.mixing_rate
+    ).series
+    base = product_and_power([schedule.gamma, schedule.lam], [2.0, d - 2.0 * s])
+    plus = replace(blowup, coefficient=constants.lower_prefactor(s) ** 2 * blowup.coefficient)
+    minus = replace(
+        base,
+        coefficient=sphere_surface_area(d) * constants.l2_norm**2 / s * base.coefficient,
+    )
+    return partial_sums(plus, upto, minus=minus)
 
 
 def evaluate_truncated_solution(
@@ -501,7 +472,7 @@ def evaluate_truncated_solution(
     The window cube becomes the fundamental cell of the returned field's
     grid.  Each piece is evaluated through the exact transported base
     solution at its own rescaled time t/tau_n, mapped into its cube and
-    scaled by gamma_n; piece supports are asserted pairwise disjoint.
+    scaled by gamma_n; overlapping piece supports raise ``GeometryError``.
     """
     if abs(grid.length - window.side) > 1e-12:
         raise ValueError("window grid must use the window side as its cell length")
@@ -542,11 +513,12 @@ def evaluate_truncated_solution(
             unit.append(delta / lam_n + 0.5 * base_grid.length)
         if not mask.any():
             continue
-        assert not (occupied & mask).any(), f"piece {n} overlaps an earlier piece"
+        if (occupied & mask).any():
+            raise GeometryError(f"piece {n} overlaps an earlier piece")
         sampled = map_coordinates(
             state.values,
             np.stack(unit) / base_grid.spacing,
-            order=5,
+            order=INTERPOLATION_ORDER,
             mode="grid-wrap",
         )
         out[mask] += gamma_n * sampled[mask]

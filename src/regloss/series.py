@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import tee
+from typing import Iterable, Iterator
 
 __all__ = [
     "ExpPolySeries",
@@ -169,33 +171,66 @@ def classify_bounded(series: ExpPolySeries) -> Classification:
     return Classification("bounded", f"power {series.power:g} <= 0")
 
 
-def partial_sum(series: ExpPolySeries, upto: int) -> float:
-    """Sum of terms from start through ``upto``; +inf once a term overflows."""
+def _running_sums(terms: Iterable[float]) -> Iterator[float]:
+    """Running sums by the rule of ``partial_sums``, ending with the first infinite one.
+
+    The exact sum is kept as Shewchuk's nonoverlapping partials, whose count
+    stays bounded, so each step costs O(1) and ``math.fsum`` rounds them.
+    """
+    partials: list[float] = []
+    for x in terms:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        if math.isinf(x):
+            yield x
+            return
+        partials[i:] = [x]
+        yield math.fsum(partials)
+
+
+def _difference_term(plus: ExpPolySeries, minus: ExpPolySeries, n: int) -> float:
+    a, b = plus.term(n), minus.term(n)
+    if math.isinf(a) or math.isinf(b):
+        # the larger magnitude overflows and decides the sign
+        return a if plus.log_term(n) > minus.log_term(n) else -b
+    return a - b
+
+
+def partial_sums(
+    series: ExpPolySeries, upto: int, minus: ExpPolySeries | None = None
+) -> list[float]:
+    """Running partial sums S(start), ..., S(upto) of ``series`` (minus ``minus``, termwise).
+
+    S(n) is the correctly rounded sum of its terms, equal to ``math.fsum``,
+    and all sums take time linear in their count.  The first term or partial
+    sum that overflows saturates the sums at its signed infinity; an
+    overflowing difference term takes the sign of the part whose
+    ``log_term`` is larger.  No sum is ever NaN.
+    """
     if upto < series.start:
         raise ValueError(f"upper index {upto} precedes start {series.start}")
-    terms = []
-    for n in range(series.start, upto + 1):
-        t = series.term(n)
-        if math.isinf(t):
-            return t
-        terms.append(t)
-    return math.fsum(terms)
+    indices = range(series.start, upto + 1)
+    if minus is None:
+        terms = map(series.term, indices)
+    elif minus.start != series.start:
+        raise AlignmentError("both parts of a difference must share the start index")
+    else:
+        terms = (_difference_term(series, minus, n) for n in indices)
+    sums = list(_running_sums(terms))
+    return sums + sums[-1:] * (len(indices) - len(sums))
 
 
-def partial_sums(series: ExpPolySeries, upto: int) -> list[float]:
-    """Running partial sums S(start), ..., S(upto), saturating at +inf."""
-    out = []
-    acc: list[float] = []
-    saturated = math.nan
-    for n in range(series.start, upto + 1):
-        t = series.term(n)
-        if math.isinf(t) or not math.isnan(saturated):
-            saturated = t if math.isnan(saturated) else saturated
-            out.append(saturated)
-            continue
-        acc.append(t)
-        out.append(math.fsum(acc))
-    return out
+def partial_sum(series: ExpPolySeries, upto: int) -> float:
+    """Sum of terms from start through ``upto``: the last of ``partial_sums``."""
+    return partial_sums(series, upto)[-1]
 
 
 def product_and_power(series: list[ExpPolySeries], exponents: list[float]) -> ExpPolySeries:
@@ -233,22 +268,21 @@ def exp_factor(coefficient: float, degree: int, start: int = 1) -> ExpPolySeries
     return ExpPolySeries(coefficient=1.0, power=0.0, exponent_poly=tuple(q), start=start)
 
 
-def tail_sum(series: ExpPolySeries, after: int, rel_tol: float = 1e-18, max_terms: int = 200_000) -> float:
-    """Numeric tail sum_{n > after} term(n) for a convergent series.
+def tail_sum(
+    series: ExpPolySeries, after: int, rel_tol: float = 1e-18, max_terms: int = 200_000
+) -> float:
+    """Numeric tail sum_{n > after} term(n) of a certified convergent series.
 
-    Terms are accumulated until they stop moving the running total; callers
-    must have certified convergence first.
+    The tail is summed by the rule of ``partial_sums`` until a term falls
+    below ``rel_tol`` times the running sum; a tail that has not settled
+    within ``max_terms`` terms raises ``ValueError`` rather than return a
+    truncated value.
     """
     if classify(series).verdict != "convergent":
         raise ValueError("tail_sum requires a certified convergent series")
-    acc = 0.0
-    n = max(after, series.start - 1)
-    for _ in range(max_terms):
-        n += 1
-        t = series.term(n)
-        acc += t
-        if t <= rel_tol * acc and t < 1e-290:
-            break
-        if acc > 0 and t <= rel_tol * acc:
-            break
-    return acc
+    first = max(after, series.start - 1) + 1
+    terms, summed = tee(map(series.term, range(first, first + max_terms)))
+    for t, total in zip(terms, _running_sums(summed)):
+        if abs(t) <= rel_tol * abs(total):
+            return total
+    raise ValueError(f"tail after index {after} has not settled within {max_terms} terms")

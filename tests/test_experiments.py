@@ -236,3 +236,21 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
 def test_cli_invalid_config_exit_code(tmp_path):
     code = main(["mix", "--grid", "100", "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
+    config_path = tmp_path / "rates.json"
+    config_path.write_text(json.dumps({"rate_b": 1.0, "rate_c": 1.0}))
+    code = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: rate_b/rate_c")
+
+
+def test_cli_lower_bound_at_an_unmeasured_order(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--order", "0.3", "--grid", "64", "--out", str(out)]) == 0
+    assert "order 0.3" in (out / "summary.txt").read_text()
+    config_path = tmp_path / "solve.json"
+    config_path.write_text(json.dumps({"solve_order": 0.3}))
+    argv = ["solve", "--grid", "64", "--pieces", "2", "--config", str(config_path)]
+    assert main([*argv, "--out", str(out)]) == 0

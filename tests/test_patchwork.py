@@ -8,6 +8,7 @@ from regloss import (
     ConditionCertificate,
     Cube,
     ExpPolySeries,
+    GeometryError,
     Grid,
     InfeasiblePlacementError,
     LipschitzEmbeddingError,
@@ -22,7 +23,6 @@ from regloss import (
     evaluate_truncated_solution,
     exact_solution_at,
     hs_lower_bound_partial_sums,
-    hs_lower_bound_series,
     hs_norm,
     make_bump,
     make_piece,
@@ -223,14 +223,14 @@ def test_blowup_time_values():
         blowup_time(0.5, 1.0, 2.0, 0.0, 1.0)
 
 
-def _constants():
+def _constants(decay_prefactor=0.03):
     from regloss import MixerConstants
 
     return MixerConstants(
         growth_rate=1.0,
         mixing_rate=1.0,
         field_prefactors={1.0: 1.0},
-        decay_prefactors={0.5: 0.03},
+        decay_prefactors={0.5: decay_prefactor},
         l2_norm=0.115,
     )
 
@@ -239,7 +239,7 @@ def test_lower_bound_single_term():
     sch = total_loss_schedule()
     constants = _constants()
     s, t, d = 0.5, 0.1, 2
-    total = hs_lower_bound_series(sch, s, t, 1, constants, d)
+    total = hs_lower_bound_partial_sums(sch, s, t, 1, constants, d)[-1]
     c_s = constants.l2_norm**2 / 0.03
     gamma1, lam1 = math.exp(-1.0), math.exp(-1.0)
     expected = gamma1**2 * lam1 ** (d - 2 * s) * (
@@ -257,8 +257,23 @@ def test_lower_bound_bounded_at_time_zero():
 
 def test_lower_bound_saturates_rather_than_overflowing():
     sch = total_loss_schedule()
-    value = hs_lower_bound_series(sch, 0.5, 10.0, 40, _constants(), 2)
-    assert math.isinf(value)
+    value = hs_lower_bound_partial_sums(sch, 0.5, 10.0, 40, _constants(), 2)[-1]
+    assert value == math.inf
+
+
+def test_lower_bound_overflow_keeps_sign_without_nan():
+    # at t = 0 above the datum's order every term is negative until its
+    # parts overflow; the negative part has the larger log_term
+    for horizon, decay_prefactor in ((3.0, 1.0), (5.0, 0.03)):
+        sch = partial_loss_schedule(3, 2.0, 2.0, 0.3, horizon, 1.0, 1.0)
+        sums = hs_lower_bound_partial_sums(sch, 0.5, 0.0, 300, _constants(decay_prefactor), 3)
+        assert not any(math.isnan(v) for v in sums)
+        assert sums[-1] == -math.inf
+
+
+def test_lower_bound_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension"):
+        hs_lower_bound_partial_sums(total_loss_schedule(), 0.5, 0.0, 5, _constants(), 3)
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +360,17 @@ def test_truncated_solution_guards(base_pair):
         evaluate_truncated_solution(sch, flow, datum, 6, 0.01, cube1, tiny)
     with pytest.raises(ValueError):
         evaluate_truncated_solution(sch, flow, datum, 1, 5.0, cube1, Grid(2, 64, cube1.side))
+
+
+def test_truncated_solution_rejects_overlapping_pieces(base_pair, monkeypatch):
+    import regloss.patchwork
+
+    grid, datum, flow = base_pair
+    sch = total_loss_schedule()
+    cube1 = place_cubes(sch, 1)[0]
+    monkeypatch.setattr(regloss.patchwork, "place_cubes", lambda schedule, count: [cube1] * count)
+    with pytest.raises(GeometryError, match="piece 2 overlaps"):
+        evaluate_truncated_solution(sch, flow, datum, 2, 0.0, cube1, Grid(2, 64, cube1.side))
 
 
 def test_schedule_serialization_round_trip():

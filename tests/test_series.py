@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,64 @@ def test_partial_sum_overflow_saturates():
     assert math.isinf(sums[-1])
 
 
+def _summation_corpus():
+    """(series, minus, upto): cancelling, overflowing and mixed-sign sums."""
+    return [
+        (ExpPolySeries(1.0, 0.0, (-1.0,)), None, 60),
+        (ExpPolySeries(-0.7, 1.5, (-0.3,)), None, 80),
+        (ExpPolySeries(1.0, 0.0, (0.0, 1.0)), None, 40),  # a term overflows
+        (ExpPolySeries(-1.0, 0.0, (0.0, 1.0)), None, 40),
+        (ExpPolySeries(8e307, 0.0, ()), None, 5),  # the partial sum overflows
+        (ExpPolySeries(-8e307, 0.0, ()), None, 5),
+        # mixed signs: the difference changes sign, then overflows
+        (ExpPolySeries(1e-3, 0.0, (0.5,)), ExpPolySeries(1.0, 2.0, ()), 1500),
+        (ExpPolySeries(1.0, 1.0, (-0.2,)), ExpPolySeries(1e-4, 0.0, (0.7,)), 1200),
+        (ExpPolySeries(0.5, -1.0, ()), ExpPolySeries(1.0, 0.0, (-0.1,)), 300),
+    ]
+
+
+def test_partial_sums_are_correctly_rounded_and_saturate_with_sign():
+    saturations = 0
+    for series, minus, upto in _summation_corpus():
+        sums = partial_sums(series, upto, minus=minus)
+        assert len(sums) == upto and not any(math.isnan(v) for v in sums)
+        terms = []
+        saturated = None
+        for n, value in enumerate(sums, start=1):
+            if saturated is not None:
+                assert value == saturated
+                continue
+            a = series.term(n)
+            b = 0.0 if minus is None else minus.term(n)
+            if math.isinf(a) or math.isinf(b):
+                # the part with the larger log_term overflows and decides the sign
+                log_b = -math.inf if minus is None else minus.log_term(n)
+                expected = a if series.log_term(n) > log_b else -b
+            else:
+                terms.append(a - b)
+                try:
+                    expected = math.fsum(terms)
+                except OverflowError:
+                    expected = math.inf if sum(map(Fraction, terms)) > 0 else -math.inf
+            assert value.hex() == expected.hex(), (series, minus, n)
+            if math.isinf(expected):
+                saturated = expected
+                saturations += 1
+    assert saturations == 6
+    for series, _, upto in _summation_corpus():
+        assert partial_sum(series, upto) == partial_sums(series, upto)[-1]
+
+
+def test_partial_sum_saturates_when_the_sum_overflows():
+    assert partial_sum(ExpPolySeries(8e307, 0.0, ()), 3) == math.inf
+    assert partial_sum(ExpPolySeries(-8e307, 0.0, ()), 3) == -math.inf
+
+
+def test_partial_sums_difference_needs_aligned_parts():
+    with pytest.raises(AlignmentError):
+        partial_sums(ExpPolySeries(), 5, minus=ExpPolySeries(start=2))
+
+
 def test_partial_sums_monotone_for_positive_terms():
     series = ExpPolySeries(0.5, 1.0, (-0.3,))
     sums = partial_sums(series, 30)
@@ -167,6 +226,12 @@ def test_tail_sum_matches_geometric_tail():
 def test_tail_sum_requires_convergence():
     with pytest.raises(ValueError):
         tail_sum(ExpPolySeries(1.0, -1.0, ()), 5)
+
+
+def test_tail_sum_refuses_unsettled_tail():
+    # zeta(1.1) - 1 is about 9.58; 200 000 terms reach only 6.63
+    with pytest.raises(ValueError, match="settled"):
+        tail_sum(ExpPolySeries(1.0, -1.1, ()), 1)
 
 
 def test_serialization_round_trip():
