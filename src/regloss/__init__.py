@@ -42,6 +42,7 @@ from .mixing import (
     fit_exponential_rate,
     gronwall_lower_bound,
     norm_history,
+    transported_values,
     velocity_norm_series,
 )
 from .patchwork import (

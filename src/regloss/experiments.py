@@ -10,11 +10,13 @@ across repeated runs of the same configuration.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .fields import Grid, Cube, demean, make_bump
 from .mixing import (
+    FIT_SKIP,
     FlowMap,
     MixerConstants,
     build_mixing_protocol,
@@ -247,7 +249,7 @@ def _run_mix(config: ExperimentConfig, bundle: ReportBundle) -> None:
         values = history[float(s)]
         if any(v <= 0 for v in values):
             continue
-        est = fit_exponential_rate(times[2:], values[2:])
+        est = fit_exponential_rate(times[FIT_SKIP:], values[FIT_SKIP:])
         fit_rows.append((s, est.rate, est.log_prefactor, est.r_squared, est.window[0], est.window[1]))
         flag = ""
         if s < 0 and est.r_squared < 0.98:
@@ -406,15 +408,8 @@ def _run_solve(config: ExperimentConfig, bundle: ReportBundle) -> None:
     schedule = total_loss_schedule(dimension=2)
     n_pieces = config.pieces
     max_local = max(config.solve_times) * n_pieces**3
-    flow = build_mixing_protocol(
-        seed=config.seed,
-        total_time=max(max_local, config.steps * config.step_duration),
-        step_duration=config.step_duration,
-        amplitude=config.amplitude,
-        dimension=2,
-        profile=config.profile,
-        banded=config.banded,
-    )
+    steps = max(config.steps, math.ceil(max_local / config.step_duration - 1e-12))
+    flow = _protocol(replace(config, dimension=2, steps=steps))
     cubes = place_cubes(schedule, n_pieces)
     lo = min(c.center[0] - c.half for c in cubes)
     hi = max(c.center[0] + c.half for c in cubes)
@@ -465,32 +460,24 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
-def emit_report(bundle: ReportBundle, out_dir, formats=("csv", "json", "summary-text")) -> list[str]:
-    """Write the bundle's files; byte-stable for identical bundles."""
+def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
+    """Write the bundle's CSV tables, certificates.json and summary.txt; byte-stable."""
+    texts = {}
+    for name in sorted(bundle.tables):
+        columns, rows = bundle.tables[name]
+        lines = [",".join(columns)] + [",".join(_fmt(x) for x in row) for row in rows]
+        texts[f"{name}.csv"] = "\n".join(lines) + "\n"
+    payload = {
+        "config": bundle.config.to_dict(),
+        "certificates": [cert.to_dict() for cert in bundle.certificates],
+    }
+    texts["certificates.json"] = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    texts["summary.txt"] = "\n".join(bundle.summary) + "\n"
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        for name in sorted(bundle.tables):
-            columns, rows = bundle.tables[name]
-            path = out / f"{name}.csv"
-            lines = [",".join(columns)]
-            lines += [",".join(_fmt(x) for x in row) for row in rows]
-            path.write_text("\n".join(lines) + "\n")
-            written.append(str(path))
-    if "json" in formats:
-        path = out / "certificates.json"
-        payload = {
-            "config": bundle.config.to_dict(),
-            "certificates": [cert.to_dict() for cert in bundle.certificates],
-        }
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        written.append(str(path))
-    if "summary-text" in formats:
-        path = out / "summary.txt"
-        path.write_text("\n".join(bundle.summary) + "\n")
-        written.append(str(path))
-    return written
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    return [str(out / name) for name in texts]
 
 
 def revalidate_certificate(data: dict) -> bool:

@@ -26,10 +26,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .fields import Box, Cube, GeometryError, Grid, ScalarField
-from .mixing import INTERPOLATION_ORDER, FlowMap, MixerConstants, exact_solution_at
+from .mixing import FlowMap, MixerConstants, transported_values
 from .series import (
     ExpPolySeries,
     classify,
@@ -470,9 +469,12 @@ def evaluate_truncated_solution(
     """Patched solution truncated to ``count`` pieces, sampled on a window.
 
     The window cube becomes the fundamental cell of the returned field's
-    grid.  Each piece is evaluated through the exact transported base
-    solution at its own rescaled time t/tau_n, mapped into its cube and
-    scaled by gamma_n; overlapping piece supports raise ``GeometryError``.
+    grid.  Piece n is gamma_n times the base solution at its rescaled time
+    t/tau_n, mapped into its cube: the window nodes inside the cube are
+    taken to unit coordinates and pulled back through the base flow, and
+    each value is one sample of the base datum at its exact departure point
+    (``mixing.transported_values``).  Overlapping piece supports raise
+    ``GeometryError``.
     """
     if abs(grid.length - window.side) > 1e-12:
         raise ValueError("window grid must use the window side as its cell length")
@@ -490,38 +492,28 @@ def evaluate_truncated_solution(
     coords = np.stack(np.meshgrid(*axes, indexing="ij"))
     out = np.zeros(grid.shape)
     occupied = np.zeros(grid.shape, dtype=bool)
-    base_grid = base_datum.grid
+    half_cell = 0.5 * base_datum.grid.length
     lo = [math.inf] * grid.dimension
     hi = [-math.inf] * grid.dimension
     for n in range(1, count + 1):
         lam_n = schedule.lam.term(n)
-        tau_n = schedule.tau.term(n)
-        gamma_n = schedule.gamma.term(n)
         center = cubes[n - 1].center
-        local_time = t / tau_n
+        local_time = t / schedule.tau.term(n)
         if local_time > base_flow.total_time + 1e-9:
             raise ValueError(
                 f"piece {n} needs the base protocol up to time {local_time:.3g}, "
                 f"but it spans only {base_flow.total_time:.3g}"
             )
-        state = exact_solution_at(base_datum, base_flow, local_time)
-        mask = np.ones(grid.shape, dtype=bool)
-        unit = []
-        for i in range(grid.dimension):
-            delta = coords[i] - center[i]
-            mask &= np.abs(delta) < 0.5 * lam_n
-            unit.append(delta / lam_n + 0.5 * base_grid.length)
+        delta = coords - np.reshape(center, (-1,) + (1,) * grid.dimension)
+        mask = np.all(np.abs(delta) < 0.5 * lam_n, axis=0)
         if not mask.any():
             continue
         if (occupied & mask).any():
             raise GeometryError(f"piece {n} overlaps an earlier piece")
-        sampled = map_coordinates(
-            state.values,
-            np.stack(unit) / base_grid.spacing,
-            order=INTERPOLATION_ORDER,
-            mode="grid-wrap",
+        unit = delta[:, mask] / lam_n + half_cell
+        out[mask] = schedule.gamma.term(n) * transported_values(
+            base_datum, base_flow, local_time, unit
         )
-        out[mask] += gamma_n * sampled[mask]
         occupied |= mask
         for i in range(grid.dimension):
             lo[i] = min(lo[i], center[i] - 0.5 * lam_n - corner[i])

@@ -171,11 +171,12 @@ def classify_bounded(series: ExpPolySeries) -> Classification:
     return Classification("bounded", f"power {series.power:g} <= 0")
 
 
-def _running_sums(terms: Iterable[float]) -> Iterator[float]:
+def _running_sums(terms: Iterable[float], every: bool = True) -> Iterator[float]:
     """Running sums by the rule of ``partial_sums``, ending with the first infinite one.
 
     The exact sum is kept as Shewchuk's nonoverlapping partials, whose count
-    stays bounded, so each step costs O(1) and ``math.fsum`` rounds them.
+    stays bounded, so each step costs O(1).  ``math.fsum`` rounds them after
+    every term, or, with ``every`` false, once after the last term.
     """
     partials: list[float] = []
     for x in terms:
@@ -193,6 +194,9 @@ def _running_sums(terms: Iterable[float]) -> Iterator[float]:
             yield x
             return
         partials[i:] = [x]
+        if every:
+            yield math.fsum(partials)
+    if not every:
         yield math.fsum(partials)
 
 
@@ -202,6 +206,20 @@ def _difference_term(plus: ExpPolySeries, minus: ExpPolySeries, n: int) -> float
         # the larger magnitude overflows and decides the sign
         return a if plus.log_term(n) > minus.log_term(n) else -b
     return a - b
+
+
+def _terms(
+    series: ExpPolySeries, upto: int, minus: ExpPolySeries | None = None
+) -> Iterator[float]:
+    """Terms start..upto of ``series``, or of its termwise difference with ``minus``."""
+    if upto < series.start:
+        raise ValueError(f"upper index {upto} precedes start {series.start}")
+    indices = range(series.start, upto + 1)
+    if minus is None:
+        return map(series.term, indices)
+    if minus.start != series.start:
+        raise AlignmentError("both parts of a difference must share the start index")
+    return (_difference_term(series, minus, n) for n in indices)
 
 
 def partial_sums(
@@ -215,22 +233,13 @@ def partial_sums(
     overflowing difference term takes the sign of the part whose
     ``log_term`` is larger.  No sum is ever NaN.
     """
-    if upto < series.start:
-        raise ValueError(f"upper index {upto} precedes start {series.start}")
-    indices = range(series.start, upto + 1)
-    if minus is None:
-        terms = map(series.term, indices)
-    elif minus.start != series.start:
-        raise AlignmentError("both parts of a difference must share the start index")
-    else:
-        terms = (_difference_term(series, minus, n) for n in indices)
-    sums = list(_running_sums(terms))
-    return sums + sums[-1:] * (len(indices) - len(sums))
+    sums = list(_running_sums(_terms(series, upto, minus)))
+    return sums + sums[-1:] * (upto - series.start + 1 - len(sums))
 
 
 def partial_sum(series: ExpPolySeries, upto: int) -> float:
-    """Sum of terms from start through ``upto``: the last of ``partial_sums``."""
-    return partial_sums(series, upto)[-1]
+    """Sum of terms from start through ``upto``, rounded once: the last of ``partial_sums``."""
+    return next(_running_sums(_terms(series, upto), every=False))
 
 
 def product_and_power(series: list[ExpPolySeries], exponents: list[float]) -> ExpPolySeries:

@@ -22,6 +22,7 @@ from regloss import (
     hs_norm,
     make_bump,
     norm_history,
+    transported_values,
     velocity_norm_series,
 )
 from regloss.mixing import protocol_from_json, protocol_to_json
@@ -111,6 +112,20 @@ def test_partial_step_composition():
     assert np.max(np.abs(out.values - closed)) < 1e-8
 
 
+def test_transported_values_at_and_between_the_nodes():
+    g = Grid(2, 128)
+    x = g.coordinates()
+    step = FlowMap((ShearStep(0, 1, 0.5, 0.2, 1.0),))
+    datum = ScalarField(g, np.sin(2 * np.pi * x[0]), Box.whole(g))
+    at_nodes = transported_values(datum, step, 0.35, x)
+    assert np.array_equal(at_nodes, exact_solution_at(datum, step, 0.35).values)
+    mid = x + 0.5 * g.spacing
+    closed = np.sin(2 * np.pi * (mid[0] - 0.35 * 0.5 * np.sin(2 * np.pi * mid[1] + 0.2)))
+    assert np.max(np.abs(transported_values(datum, step, 0.35, mid) - closed)) < 1e-8
+    with pytest.raises(ValueError, match="outside the protocol span"):
+        transported_values(datum, step, 1.5, x)
+
+
 def test_inverse_concatenation_is_identity():
     g = Grid(2, 128)
     datum = demean(make_bump(g, (0.5, 0.5), 0.15, 1.0))
@@ -171,14 +186,6 @@ def test_semi_lagrangian_cfl_guard():
     flow = build_mixing_protocol(5, 0.125, 0.125, 1.2)
     with pytest.raises(CFLError):
         advect_semi_lagrangian(datum, flow, dt=0.01, steps=2)
-
-
-def test_semi_lagrangian_order_validation():
-    g = Grid(2, 64)
-    datum = make_bump(g, (0.5, 0.5), 0.2, 1.0)
-    flow = build_mixing_protocol(1, 0.125, 0.125, 1.0)
-    with pytest.raises(ValueError):
-        advect_semi_lagrangian(datum, flow, dt=1e-3, steps=5, order=2)
 
 
 def test_velocity_norm_series_constant_across_steps():
@@ -253,9 +260,10 @@ def test_norm_history_positive_orders_unaffected_by_demeaning():
     g = Grid(2, 64)
     datum = demean(make_bump(g, (0.5, 0.5), 0.15, 1.0))
     flow = build_mixing_protocol(2, 0.25, 0.125, 1.0)
-    with_demean = norm_history(flow, datum, [0.5], flow.start_times())
-    without = norm_history(flow, datum, [0.5], flow.start_times(), demean_states=False)
-    assert with_demean[0.5] == pytest.approx(without[0.5], rel=1e-12)
+    history = norm_history(flow, datum, [0.5], flow.start_times())
+    for t, demeaned in zip(flow.start_times(), history[0.5]):
+        state = exact_solution_at(datum, flow, t)
+        assert demeaned == pytest.approx(hs_norm(state, 0.5).value, rel=1e-12)
 
 
 def test_estimate_mixer_constants_contract():

@@ -276,6 +276,14 @@ def test_lower_bound_rejects_dimension_mismatch():
         hs_lower_bound_partial_sums(total_loss_schedule(), 0.5, 0.0, 5, _constants(), 3)
 
 
+def _window(sch, count):
+    """Window holding the first ``count`` cubes, as ``regloss solve`` lays it out."""
+    cubes = place_cubes(sch, count)
+    lo = min(c.center[0] - c.half for c in cubes)
+    hi = max(c.center[0] + c.half for c in cubes)
+    return Cube((0.5 * (lo + hi), cubes[0].center[1]), (hi - lo) * 1.05)
+
+
 @pytest.fixture(scope="module")
 def base_pair():
     grid = Grid(2, 128)
@@ -315,10 +323,7 @@ def test_single_piece_norm_follows_rescaling_chain(base_pair):
 def test_truncated_solution_pieces_disjoint(base_pair):
     grid, datum, flow = base_pair
     sch = total_loss_schedule()
-    cubes = place_cubes(sch, 3)
-    lo = min(c.center[0] - c.half for c in cubes)
-    hi = max(c.center[0] + c.half for c in cubes)
-    window = Cube((0.5 * (lo + hi), cubes[0].center[1]), (hi - lo) * 1.05)
+    window = _window(sch, 3)
     wgrid = Grid(2, 256, window.side)
     layers = []
     for n in (1, 2, 3):
@@ -331,13 +336,26 @@ def test_truncated_solution_pieces_disjoint(base_pair):
     assert np.max(np.abs(piece2 * piece3)) == 0.0
 
 
+def test_truncated_solution_interpolates_the_datum_once(base_pair):
+    # each window value is one sample of the datum at its exact departure
+    # point, so the field hardly depends on the datum's grid; interpolating
+    # the transported base grid a second time would leave a gap of 2e-2
+    _, _, flow = base_pair
+    sch = total_loss_schedule()
+    window = _window(sch, 3)
+    wgrid = Grid(2, 128, window.side)
+    fields = []
+    for m in (128, 512):
+        datum = demean(make_bump(Grid(2, m), (0.5, 0.5), 0.125, 1.0))
+        fields.append(evaluate_truncated_solution(sch, flow, datum, 3, 0.1, window, wgrid).values)
+    gap = np.linalg.norm(fields[0] - fields[1]) / np.linalg.norm(fields[1])
+    assert gap < 2e-3
+
+
 def test_truncated_solution_initial_norm_triangle_bound(base_pair):
     grid, datum, flow = base_pair
     sch = total_loss_schedule()
-    cubes = place_cubes(sch, 3)
-    lo = min(c.center[0] - c.half for c in cubes)
-    hi = max(c.center[0] + c.half for c in cubes)
-    window = Cube((0.5 * (lo + hi), cubes[0].center[1]), (hi - lo) * 1.05)
+    window = _window(sch, 3)
     wgrid = Grid(2, 256, window.side)
     sigma = 0.5
     theta0 = evaluate_truncated_solution(sch, flow, datum, 3, 0.0, window, wgrid)
