@@ -211,11 +211,17 @@ def _protocol(config: ExperimentConfig) -> FlowMap:
     )
 
 
+def _planar(config: ExperimentConfig) -> ExperimentConfig:
+    """The config in the plane, where the mixing protocol and its datum live."""
+    return replace(config, dimension=2, datum_center=config.datum_center[:2])
+
+
 def _measured_constants(config: ExperimentConfig, order: float):
     """Datum and constants of the seeded 2-d protocol, with the decay prefactor at ``order``."""
+    planar = _planar(config)
     grid = Grid(2, min(config.grid_points, 256))
-    datum = _datum(replace(config, dimension=2, datum_center=config.datum_center[:2]), grid)
-    flow = _protocol(replace(config, dimension=2))
+    datum = _datum(planar, grid)
+    flow = _protocol(planar)
     constants, _ = estimate_mixer_constants(flow, datum, decay_orders=(order, 1.0))
     return datum, constants
 
@@ -409,7 +415,7 @@ def _run_solve(config: ExperimentConfig, bundle: ReportBundle) -> None:
     n_pieces = config.pieces
     max_local = max(config.solve_times) * n_pieces**3
     steps = max(config.steps, math.ceil(max_local / config.step_duration - 1e-12))
-    flow = _protocol(replace(config, dimension=2, steps=steps))
+    flow = _protocol(replace(_planar(config), steps=steps))
     cubes = place_cubes(schedule, n_pieces)
     lo = min(c.center[0] - c.half for c in cubes)
     hi = max(c.center[0] + c.half for c in cubes)

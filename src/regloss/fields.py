@@ -73,10 +73,17 @@ class Grid:
         """Node coordinates along one axis: 0, h, ..., L-h."""
         return np.arange(self.points) * self.spacing
 
+    def _along(self, values: np.ndarray, i: int) -> np.ndarray:
+        """Per-axis values shaped to broadcast along axis i of the grid."""
+        return values.reshape([self.points if j == i else 1 for j in range(self.dimension)])
+
     def coordinates(self) -> np.ndarray:
         """Node coordinates, shape (dimension, points, ..., points)."""
-        axes = np.meshgrid(*([self.axis()] * self.dimension), indexing="ij")
-        return np.stack(axes)
+        out = np.empty((self.dimension,) + self.shape)
+        axis = self.axis()
+        for i in range(self.dimension):
+            out[i] = self._along(axis, i)
+        return out
 
     def wavenumbers(self) -> np.ndarray:
         """Integer frequencies per axis (fftfreq layout), shape (dimension, ...)."""
@@ -86,8 +93,14 @@ class Grid:
 
     def xi_magnitude(self) -> np.ndarray:
         """|xi| with xi_k = 2*pi*k/L on the fftfreq layout."""
-        k = self.wavenumbers()
-        return (2.0 * math.pi / self.length) * np.sqrt(np.sum(k * k, axis=0))
+        k1 = np.fft.fftfreq(self.points, d=1.0 / self.points)
+        k2 = k1 * k1
+        out = np.zeros(self.shape)
+        for i in range(self.dimension):
+            out += self._along(k2, i)
+        np.sqrt(out, out=out)
+        out *= 2.0 * math.pi / self.length
+        return out
 
     def min_image(self, delta: np.ndarray) -> np.ndarray:
         """Wrap coordinate differences into [-L/2, L/2)."""

@@ -78,7 +78,9 @@ def _normalized_coefficients(field: ScalarField) -> np.ndarray:
     """Fourier coefficients c_k with sum |c_k|^2 = ||f||_{L^2}^2."""
     g = field.grid
     scale = g.length ** (g.dimension / 2.0) / g.points**g.dimension
-    return np.fft.fftn(field.values) * scale
+    c = np.fft.fftn(field.values)
+    c *= scale
+    return c
 
 
 def grid_lp_norm(values: np.ndarray, grid: Grid, p: float) -> float:
@@ -99,15 +101,17 @@ def hs_norm(field: ScalarField, s: float) -> NormValue:
     """
     idx = SobolevIndex(s, 2.0)
     c = _normalized_coefficients(field)
-    zero = (0,) * field.grid.dimension
-    l2 = math.sqrt(float(np.sum(np.abs(c) ** 2)))
+    c0 = c[(0,) * field.grid.dimension]
+    energy = np.abs(c) ** 2
+    del c
+    l2 = math.sqrt(float(np.sum(energy)))
     if s == 0.0:
         return NormValue(l2, idx, "multiplier")
-    if s < 0 and not _zero_mode_mass_ok(c[zero], l2):
+    if s < 0 and not _zero_mode_mass_ok(c0, l2):
         return NormValue(math.inf, idx, "multiplier")
     xi = field.grid.xi_magnitude()
     mask = xi > 0
-    total = float(np.sum(xi[mask] ** (2.0 * s) * np.abs(c[mask]) ** 2))
+    total = float(np.sum(xi[mask] ** (2.0 * s) * energy[mask]))
     return NormValue(math.sqrt(total), idx, "multiplier")
 
 
@@ -121,7 +125,8 @@ def _multiplier_transform(values: np.ndarray, grid: Grid, s: float) -> np.ndarra
         mult = np.zeros(grid.shape)
         mask = xi > 0
         mult[mask] = xi[mask] ** s
-    return np.fft.ifftn(mult * fhat).real
+    fhat *= mult
+    return np.fft.ifftn(fhat).real
 
 
 def wsp_norm(field: ScalarField | VectorField, s: float, p: float) -> NormValue:

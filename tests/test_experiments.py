@@ -254,3 +254,15 @@ def test_cli_lower_bound_at_an_unmeasured_order(tmp_path):
     config_path.write_text(json.dumps({"solve_order": 0.3}))
     argv = ["solve", "--grid", "64", "--pieces", "2", "--config", str(config_path)]
     assert main([*argv, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep"], ["certify", "--target", "partial"], ["solve", "--pieces", "2"]],
+    ids=["sweep", "certify-partial", "solve"],
+)
+def test_cli_planar_measurements_accept_a_3d_config(tmp_path, argv):
+    config_path = tmp_path / "d3.json"
+    config_path.write_text(json.dumps({"dimension": 3, "datum_center": [0.5, 0.5, 0.5]}))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config_path), "--grid", "64", "--out", str(out)]) == 0

@@ -41,6 +41,17 @@ def test_grid_geometry():
     assert np.allclose(g.min_image(np.array([1.9])), np.array([-0.1]))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("length", [1.0, 0.37])
+def test_grid_coordinates_and_xi_magnitude_match_the_meshgrid_formulas(d, length):
+    g = Grid(d, 16, length)
+    coords = np.stack(np.meshgrid(*([g.axis()] * d), indexing="ij"))
+    k = np.stack(np.meshgrid(*([np.fft.fftfreq(16, d=1.0 / 16)] * d), indexing="ij"))
+    xi = (2.0 * math.pi / length) * np.sqrt(np.sum(k * k, axis=0))
+    for got, want in ((g.coordinates(), coords), (g.xi_magnitude(), xi)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_bump_zero_amplitude_is_zero_field():
     g = Grid(2, 64)
     b = make_bump(g, (0.5, 0.5), 0.2, 0.0)

@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +266,57 @@ def test_norm_history_positive_orders_unaffected_by_demeaning():
     for t, demeaned in zip(flow.start_times(), history[0.5]):
         state = exact_solution_at(datum, flow, t)
         assert demeaned == pytest.approx(hs_norm(state, 0.5).value, rel=1e-12)
+
+
+ORDERS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+def _default_protocol(points):
+    """Default datum and 20-step protocol of the experiments, on an M-point grid."""
+    datum = demean(make_bump(Grid(2, points), (0.5, 0.5), 0.125, 1.0))
+    return datum, build_mixing_protocol(5, 2.5, 0.125, 3.2)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 21])
+def test_norm_history_equals_a_serial_loop(count):
+    datum, flow = _default_protocol(64)
+    times = flow.start_times()[:count]
+    assert len(times) == count
+    serial = {s: [] for s in ORDERS}
+    for t in times:
+        state = demean(exact_solution_at(datum, flow, t))
+        for s in ORDERS:
+            serial[s].append(hs_norm(state, s).value)
+    history = norm_history(flow, datum, ORDERS, times)
+    assert {s: [v.hex() for v in vs] for s, vs in history.items()} == {
+        s: [v.hex() for v in vs] for s, vs in serial.items()
+    }
+
+
+@pytest.mark.parametrize("first_bad", [1, 2])
+def test_norm_history_out_of_span_raises_the_first_error_and_stops_its_worker(first_bad):
+    datum, flow = _default_protocol(32)
+    times = flow.start_times()[:6]
+    times[first_bad] = 7.0
+    times[4] = 8.0
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="time 7.0 outside the protocol span"):
+        norm_history(flow, datum, ORDERS, times)
+    assert threading.active_count() == before
+
+
+def test_norm_history_peak_memory_stays_within_fourteen_grid_arrays():
+    # two states are in flight at once; one grid array is 8*M^2 bytes
+    points = 128
+    datum, flow = _default_protocol(points)
+    times = flow.start_times()
+    tracemalloc.start()
+    try:
+        norm_history(flow, datum, ORDERS, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * 8 * points**2
 
 
 def test_estimate_mixer_constants_contract():
