@@ -22,11 +22,7 @@ from .fields import (
     VectorField,
     cube_distance_to_complement,
     demean,
-    extend_to_dimension,
-    field_to_csv,
-    load_field,
     make_bump,
-    save_field,
 )
 from .mixing import (
     CFLError,
@@ -51,7 +47,6 @@ from .patchwork import (
     ConstructionParams,
     InfeasiblePlacementError,
     LipschitzEmbeddingError,
-    PieceSpec,
     ResolutionError,
     Schedule,
     UnsupportedScheduleError,
@@ -59,7 +54,6 @@ from .patchwork import (
     evaluate_condition,
     evaluate_truncated_solution,
     hs_lower_bound_partial_sums,
-    make_piece,
     partial_loss_schedule,
     place_cubes,
     total_loss_schedule,

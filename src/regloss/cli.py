@@ -11,6 +11,7 @@ import json
 import sys
 
 from .experiments import ConfigError, ExperimentConfig, emit_report, run_experiment
+from .patchwork import ResolutionError
 
 _SUBCOMMAND_MODE = {
     "mix": "mix",
@@ -89,9 +90,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if key in skip or value is None:
             continue
         data[key] = value
-    for name in ("orders", "solve_times"):
-        if name in data and data[name] is not None:
-            data[name] = tuple(data[name])
     return ExperimentConfig.from_dict(data)
 
 
@@ -101,6 +99,9 @@ def main(argv=None) -> int:
         bundle = run_experiment(_config_from_args(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except ResolutionError as exc:
+        print(f"resolution error: {exc}", file=sys.stderr)
         return 2
     written = emit_report(bundle, args.out)
     for line in bundle.summary:

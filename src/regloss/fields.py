@@ -12,9 +12,7 @@ containment tests use the minimum-image convention throughout.
 
 from __future__ import annotations
 
-import csv
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +29,6 @@ __all__ = [
     "make_bump",
     "demean",
     "cube_distance_to_complement",
-    "extend_to_dimension",
-    "save_field",
-    "load_field",
-    "field_to_csv",
 ]
 
 SUPPORT_TOL = 1e-12
@@ -307,69 +301,7 @@ def cube_distance_to_complement(support: Cube, container: Cube) -> float:
     return min(margins)
 
 
-def extend_to_dimension(
-    field2d: ScalarField, cutoff_inner: float, cutoff_outer: float, d: int
-) -> ScalarField:
-    """Tensor the planar field with a smooth radial cutoff in the extra axes.
-
-    The result equals the planar field times eta(x_3, ..., x_d) where eta is
-    1 on the ball of radius cutoff_inner around 0 and supported in the ball
-    of radius cutoff_outer.  The extra coordinates are centered at 0 (the
-    periodic cell wraps the ball around the origin).
-    """
-    if d < 3:
-        raise GeometryError(f"target dimension must be >= 3, got {d}")
-    if field2d.grid.dimension != 2:
-        raise GeometryError("input field must be planar")
-    if not (0 < cutoff_inner < cutoff_outer <= 0.5 * field2d.grid.length):
-        raise GeometryError("cutoff radii must satisfy 0 < inner < outer <= L/2")
-    grid = Grid(d, field2d.grid.points, field2d.grid.length)
-    coords_extra = np.meshgrid(*([grid.axis()] * (d - 2)), indexing="ij")
-    r2 = np.zeros_like(coords_extra[0])
-    for x in coords_extra:
-        dx = grid.min_image(x - 0.0)
-        r2 += dx * dx
-    eta = radial_cutoff(np.sqrt(r2), cutoff_inner, cutoff_outer)
-    planar = field2d.values
-    vals = planar.reshape(planar.shape + (1,) * (d - 2)) * eta.reshape((1, 1) + eta.shape)
-    center = field2d.support.center + (0.0,) * (d - 2)
-    halves = field2d.support.half_widths + (cutoff_outer,) * (d - 2)
-    return ScalarField(grid, vals, Box(center, halves))
-
-
 def demean(field_: ScalarField) -> ScalarField:
     """Subtract the grid mean (support widens to the whole cell)."""
     return ScalarField(field_.grid, field_.values - field_.mean, Box.whole(field_.grid))
 
-
-_HEADER = struct.Struct("<qqd")
-
-
-def save_field(field_: ScalarField, path) -> None:
-    """Flat binary container: header (d, M, L, support box) then row-major values."""
-    g = field_.grid
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(g.dimension, g.points, g.length))
-        fh.write(np.asarray(field_.support.center, dtype="<f8").tobytes())
-        fh.write(np.asarray(field_.support.half_widths, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(field_.values, dtype="<f8").tobytes())
-
-
-def load_field(path) -> ScalarField:
-    with open(path, "rb") as fh:
-        d, m, length = _HEADER.unpack(fh.read(_HEADER.size))
-        center = np.frombuffer(fh.read(8 * d), dtype="<f8")
-        halves = np.frombuffer(fh.read(8 * d), dtype="<f8")
-        grid = Grid(d, m, length)
-        count = m**d
-        vals = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(grid.shape)
-    return ScalarField(grid, vals, Box(tuple(center), tuple(halves)))
-
-
-def field_to_csv(field_: ScalarField, path) -> None:
-    """CSV rows (index tuple, value); intended for small grids."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"i{k}" for k in range(field_.grid.dimension)] + ["value"])
-        for idx in np.ndindex(field_.grid.shape):
-            writer.writerow(list(idx) + [format(field_.values[idx], ".17g")])

@@ -52,7 +52,6 @@ __all__ = [
     "norm_history",
     "estimate_mixer_constants",
     "protocol_to_json",
-    "protocol_from_json",
 ]
 
 INTERPOLATION_ORDER = 5
@@ -511,8 +510,3 @@ def protocol_to_json(flow: FlowMap) -> str:
     }
     return json.dumps(data, sort_keys=True)
 
-
-def protocol_from_json(text: str) -> FlowMap:
-    data = json.loads(text)
-    steps = tuple(ShearStep(**s) for s in data["steps"])
-    return FlowMap(steps, seed=data.get("seed"))

@@ -48,11 +48,9 @@ __all__ = [
     "Condition",
     "ConstructionParams",
     "Schedule",
-    "PieceSpec",
     "ConditionCertificate",
     "total_loss_schedule",
     "partial_loss_schedule",
-    "make_piece",
     "place_cubes",
     "evaluate_condition",
     "blowup_time",
@@ -158,17 +156,6 @@ class Schedule:
             dimension=data["dimension"],
             accumulation_point=tuple(data["accumulation_point"]),
         )
-
-
-@dataclass(frozen=True)
-class PieceSpec:
-    """Rescale-and-translate recipe of one piece of the construction."""
-
-    n: int
-    lam: float
-    tau: float
-    gamma: float
-    center: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -324,24 +311,6 @@ def place_cubes(schedule: Schedule, count: int) -> list[Cube]:
     return cubes
 
 
-def make_piece(schedule: Schedule, n: int) -> PieceSpec:
-    """Rescale-and-translate recipe for the n-th piece.
-
-    The piece's velocity is (lam_n/tau_n) u(t/tau_n, (x - center)/lam_n)
-    and its datum gamma_n rho((x - center)/lam_n), so the velocity
-    sup-norm scales by lam_n/tau_n and the datum sup-norm by gamma_n.
-    """
-    if n < 1:
-        raise ValueError(f"piece index must be >= 1, got {n}")
-    return PieceSpec(
-        n=n,
-        lam=schedule.lam.term(n),
-        tau=schedule.tau.term(n),
-        gamma=schedule.gamma.term(n),
-        center=place_cubes(schedule, n)[n - 1].center,
-    )
-
-
 def evaluate_condition(
     schedule: Schedule,
     condition: Condition,
@@ -488,8 +457,8 @@ def evaluate_truncated_solution(
             f"({grid.spacing:.3e} each); shrink the window or lower the count"
         )
     corner = tuple(c - window.half for c in window.center)
-    axes = [corner[i] + grid.axis() for i in range(grid.dimension)]
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"))
+    coords = grid.coordinates()
+    coords += np.reshape(corner, (-1,) + (1,) * grid.dimension)
     out = np.zeros(grid.shape)
     occupied = np.zeros(grid.shape, dtype=bool)
     half_cell = 0.5 * base_datum.grid.length

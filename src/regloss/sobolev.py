@@ -3,9 +3,9 @@
 Fourier-multiplier norms use the convention xi_k = 2*pi*k/L for
 k in Z^d intersected with [-M/2, M/2)^d, with Parseval normalization
 sum |c_k|^2 = ||f||_{L^2}^2, so single-mode data have closed-form norms.
-Negative orders exclude the zero mode and require zero mean; a field with
-mass at the zero mode gets the distinguished value +inf rather than an
-exception.
+Negative orders exclude the zero mode and require zero mean, of each
+component for a vector field; a field with mass at the zero mode gets the
+distinguished value +inf rather than an exception.
 
 For 0 < s < 1 the Gagliardo double sum over grid pairs (minimum-image
 distance, diagonal skipped) provides an independent evaluation route that
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Cube, Grid, ScalarField, VectorField
+from .fields import Box, Cube, Grid, ScalarField, VectorField
 
 __all__ = [
     "UnsupportedIndexError",
@@ -74,12 +74,15 @@ def sphere_surface_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def _parseval_scale(grid: Grid) -> float:
+    """Factor taking the raw DFT to coefficients with sum |c_k|^2 = ||f||_{L^2}^2."""
+    return grid.length ** (grid.dimension / 2.0) / grid.points**grid.dimension
+
+
 def _normalized_coefficients(field: ScalarField) -> np.ndarray:
     """Fourier coefficients c_k with sum |c_k|^2 = ||f||_{L^2}^2."""
-    g = field.grid
-    scale = g.length ** (g.dimension / 2.0) / g.points**g.dimension
     c = np.fft.fftn(field.values)
-    c *= scale
+    c *= _parseval_scale(field.grid)
     return c
 
 
@@ -115,41 +118,35 @@ def hs_norm(field: ScalarField, s: float) -> NormValue:
     return NormValue(math.sqrt(total), idx, "multiplier")
 
 
-def _multiplier_transform(values: np.ndarray, grid: Grid, s: float) -> np.ndarray:
-    """Inverse transform of |xi|^s * fhat, zero mode excluded for s != 0."""
-    fhat = np.fft.fftn(values)
-    if s == 0.0:
-        mult = np.ones(grid.shape)
-    else:
-        xi = grid.xi_magnitude()
-        mult = np.zeros(grid.shape)
-        mask = xi > 0
-        mult[mask] = xi[mask] ** s
-    fhat *= mult
-    return np.fft.ifftn(fhat).real
-
-
 def wsp_norm(field: ScalarField | VectorField, s: float, p: float) -> NormValue:
     """Homogeneous Sobolev norm of order s in L^p via the Fourier multiplier.
 
     p must lie in (1, inf); p = 2 agrees with hs_norm.  Vector fields take
-    the l2 combination of the component norms.
+    the l2 combination of the component norms; at s < 0 a component with
+    mass at the zero mode makes the norm +inf.
     """
     idx = SobolevIndex(s, p)
-    if isinstance(field, VectorField):
-        total = 0.0
-        for comp in field.components:
-            g = _multiplier_transform(comp, field.grid, s)
-            total += grid_lp_norm(g, field.grid, p) ** 2
-        return NormValue(math.sqrt(total), idx, "multiplier")
-    if s < 0:
-        c = _normalized_coefficients(field)
-        zero = (0,) * field.grid.dimension
-        l2 = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-        if not _zero_mode_mass_ok(c[zero], l2):
-            return NormValue(math.inf, idx, "multiplier")
-    g = _multiplier_transform(field.values, field.grid, s)
-    return NormValue(grid_lp_norm(g, field.grid, p), idx, "multiplier")
+    grid = field.grid
+    components = field.components if isinstance(field, VectorField) else (field.values,)
+    if s != 0.0:
+        xi = grid.xi_magnitude()
+        mult = np.zeros(grid.shape)
+        mask = xi > 0
+        mult[mask] = xi[mask] ** s
+    scale = _parseval_scale(grid)
+    norms = []
+    for comp in components:
+        fhat = np.fft.fftn(comp)
+        if s < 0:
+            l2 = scale * math.sqrt(float(np.sum(np.abs(fhat) ** 2)))
+            if not _zero_mode_mass_ok(scale * fhat[(0,) * grid.dimension], l2):
+                return NormValue(math.inf, idx, "multiplier")
+        if s != 0.0:
+            fhat *= mult
+        norms.append(grid_lp_norm(np.fft.ifftn(fhat).real, grid, p))
+    # a scalar's norm is returned as measured, without a square-and-root round trip
+    value = norms[0] if len(norms) == 1 else math.sqrt(sum(n**2 for n in norms))
+    return NormValue(value, idx, "multiplier")
 
 
 def gagliardo_seminorm(field: ScalarField, s: float, within: Cube | None = None) -> NormValue:
@@ -168,12 +165,8 @@ def gagliardo_seminorm(field: ScalarField, s: float, within: Cube | None = None)
     v = field.values
     mask = None
     if within is not None:
-        coords = g.coordinates()
-        mask = np.ones(g.shape, dtype=bool)
-        for i in range(d):
-            delta = g.min_image(coords[i] - within.center[i])
-            mask &= np.abs(delta) <= within.half + 1e-12
-        mask = mask.astype(float)
+        box = Box(within.center, (within.half,) * d)
+        mask = box.contains(g.coordinates(), g).astype(float)
     exponent = -(d + 2.0 * s)
     total = 0.0
     axes = tuple(range(d))

@@ -241,9 +241,15 @@ def test_cli_invalid_config_exit_code(tmp_path):
 def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
     config_path = tmp_path / "rates.json"
     config_path.write_text(json.dumps({"rate_b": 1.0, "rate_c": 1.0}))
-    code = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("configuration error: rate_b/rate_c")
+    cases = [
+        (["sweep", "--config", str(config_path)], "configuration error: rate_b/rate_c"),
+        # three pieces need a finer window than 64 points per side
+        (["solve", "--grid", "64"], "resolution error: piece 3"),
+    ]
+    for argv, message in cases:
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_cli_lower_bound_at_an_unmeasured_order(tmp_path):

@@ -12,12 +12,8 @@ from regloss import (
     VectorField,
     cube_distance_to_complement,
     demean,
-    extend_to_dimension,
-    field_to_csv,
     hs_norm,
-    load_field,
     make_bump,
-    save_field,
 )
 from regloss.fields import radial_cutoff, smooth_bridge
 
@@ -150,67 +146,7 @@ def test_smooth_bridge_profile():
     assert np.all(v[t >= 1] == 1.0)
     assert np.all(np.diff(v) >= -1e-15)
     assert smooth_bridge(0.5) == pytest.approx(0.5)
-
-
-def test_extension_matches_planar_on_core_slice():
-    g = Grid(2, 32)
-    b = make_bump(g, (0.5, 0.5), 0.2, 1.0)
-    ext = extend_to_dimension(b, 0.125, 0.25, 3)
-    assert ext.grid.dimension == 3
-    assert np.max(np.abs(ext.values[:, :, 0] - b.values)) == 0.0
-
-
-def test_extension_vanishes_outside_cutoff():
-    g = Grid(2, 32)
-    b = make_bump(g, (0.5, 0.5), 0.2, 1.0)
-    ext = extend_to_dimension(b, 0.125, 0.25, 3)
-    x3 = g.axis()
-    far = np.minimum(x3, 1.0 - x3) > 0.25
-    assert np.max(np.abs(ext.values[:, :, far])) == 0.0
-
-
-def test_extension_l2_tensor_oracle():
-    from scipy.integrate import quad
-
-    g = Grid(2, 64)
-    b = make_bump(g, (0.5, 0.5), 0.2, 1.0)
-    ext = extend_to_dimension(b, 0.125, 0.25, 3)
-    eta_sq, _ = quad(
-        lambda y: radial_cutoff(np.abs(np.array([y])), 0.125, 0.25)[0] ** 2,
-        -0.5,
-        0.5,
-        limit=200,
-    )
-    predicted = hs_norm(b, 0.0).value * math.sqrt(eta_sq)
-    assert hs_norm(ext, 0.0).value == pytest.approx(predicted, rel=1e-5)
-
-
-def test_extension_validation():
-    g = Grid(2, 32)
-    b = make_bump(g, (0.5, 0.5), 0.2, 1.0)
-    with pytest.raises(GeometryError):
-        extend_to_dimension(b, 0.125, 0.25, 2)
-    with pytest.raises(GeometryError):
-        extend_to_dimension(b, 0.25, 0.125, 3)
-
-
-def test_binary_round_trip(tmp_path):
-    g = Grid(2, 32)
-    b = make_bump(g, (0.4, 0.6), 0.15, 2.0)
-    path = tmp_path / "field.bin"
-    save_field(b, path)
-    loaded = load_field(path)
-    assert loaded.grid == b.grid
-    assert np.array_equal(loaded.values, b.values)
-    assert loaded.support == b.support
-
-
-def test_csv_export(tmp_path):
-    g = Grid(2, 4)
-    f = ScalarField(g, np.arange(16, dtype=float).reshape(4, 4), Box.whole(g))
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i0,i1,value"
-    assert len(lines) == 17
-    assert lines[1].startswith("0,0,")
+    r = np.linspace(0.0, 0.5, 201)
+    eta = radial_cutoff(r, 0.125, 0.25)
+    assert np.all(eta[r <= 0.125] == 1.0)
+    assert np.all(eta[r >= 0.25] == 0.0)

@@ -27,7 +27,7 @@ from regloss import (
     transported_values,
     velocity_norm_series,
 )
-from regloss.mixing import protocol_from_json, protocol_to_json
+from regloss.mixing import protocol_to_json
 
 
 def test_single_step_protocol():
@@ -58,12 +58,6 @@ def test_seed_reproducibility():
     assert protocol_to_json(a) == protocol_to_json(b)
     c = build_mixing_protocol(43, 2.0, 0.25, 1.3)
     assert protocol_to_json(a) != protocol_to_json(c)
-
-
-def test_protocol_json_round_trip():
-    flow = build_mixing_protocol(11, 1.0, 0.25, 0.9, profile="sawtooth-smoothed")
-    again = protocol_from_json(protocol_to_json(flow))
-    assert again == flow
 
 
 def test_zero_amplitude_identity():

@@ -25,7 +25,6 @@ from regloss import (
     hs_lower_bound_partial_sums,
     hs_norm,
     make_bump,
-    make_piece,
     partial_loss_schedule,
     place_cubes,
     total_loss_schedule,
@@ -106,31 +105,12 @@ def test_place_cubes_requires_summable_scales():
         place_cubes(sch, 3)
 
 
-def test_make_piece_identity_first_term():
-    sch = Schedule(
-        lam=ExpPolySeries(math.e, 0.0, (-1.0,)),
-        tau=ExpPolySeries(1.0, -3.0, ()),
-        gamma=ExpPolySeries(math.e, 0.0, (-1.0,)),
-        dimension=2,
-        accumulation_point=(0.0, 0.0),
-    )
-    piece = make_piece(sch, 1)
-    assert piece.lam == pytest.approx(1.0, rel=1e-15)
-    assert piece.tau == 1.0
-    assert piece.gamma == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        make_piece(sch, 0)
-
-
 def test_piece_support_distance_to_cube_complement():
     sch = total_loss_schedule()
-    for n in range(1, 8):
-        piece = make_piece(sch, n)
-        data_cube = Cube(piece.center, piece.lam)
-        host = Cube(piece.center, 3.0 * piece.lam)
-        assert cube_distance_to_complement(data_cube, host) == pytest.approx(
-            piece.lam, rel=1e-12
-        )
+    for n, host in enumerate(place_cubes(sch, 7), start=1):
+        lam_n = sch.lam.term(n)
+        data_cube = Cube(host.center, lam_n)
+        assert cube_distance_to_complement(data_cube, host) == pytest.approx(lam_n, rel=1e-12)
 
 
 def test_blowup_condition_always_divergent_for_positive_times():

@@ -77,11 +77,10 @@ def test_negative_order_poisson_oracle(grid):
 
 def test_wsp_matches_hs_at_p2(grid, single_mode):
     b = make_bump(grid, (0.5, 0.5), 0.2, 1.0)
-    for f in (single_mode, b):
-        for s in (0.0, 0.5, 1.0):
-            assert wsp_norm(f, s, 2.0).value == pytest.approx(
-                hs_norm(f, s).value, rel=1e-10
-            )
+    cases = [(f, s) for f in (single_mode, b) for s in (0.0, 0.5, 1.0)]
+    cases += [(demean(b), s) for s in (-1.0, -0.5)]
+    for f, s in cases:
+        assert wsp_norm(f, s, 2.0).value == pytest.approx(hs_norm(f, s).value, rel=1e-10)
     assert wsp_norm(single_mode, 2.0, 2.0).value == pytest.approx(
         (2 * math.pi) ** 2 / math.sqrt(2), rel=1e-12
     )
@@ -109,9 +108,15 @@ def test_wsp_vector_l2_combination(grid):
     shear = np.sin(2 * np.pi * x[1])
     vec = VectorField(grid, (shear, np.zeros(grid.shape)), divergence_free=True)
     scalar = ScalarField(grid, shear, Box.whole(grid))
-    assert wsp_norm(vec, 1.0, 2.0).value == pytest.approx(
-        wsp_norm(scalar, 1.0, 2.0).value, rel=1e-12
-    )
+    for s in (1.0, -1.0):
+        assert wsp_norm(vec, s, 2.0).value == pytest.approx(
+            wsp_norm(scalar, s, 2.0).value, rel=1e-12
+        )
+    # the zero-mean rule of negative orders applies to each component
+    const = np.ones(grid.shape)
+    with_mean = VectorField(grid, (shear, const), divergence_free=True)
+    assert math.isinf(wsp_norm(ScalarField(grid, const, Box.whole(grid)), -1.0, 2.0).value)
+    assert math.isinf(wsp_norm(with_mean, -1.0, 2.0).value)
 
 
 def test_gagliardo_zero_field():
