@@ -14,7 +14,6 @@ The package provides, at desk scale:
 """
 
 from .fields import (
-    Box,
     Cube,
     GeometryError,
     Grid,

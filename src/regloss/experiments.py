@@ -146,9 +146,19 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name}: must lie in (0, 1), got {value}")
-        for name in ("sigma", "horizon", "sweep_time", "sweep_threshold"):
+        for name in ("sigma", "horizon"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
+        for name in ("sweep_time", "sweep_threshold"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be nonnegative, got {getattr(self, name)}")
+        if not self.solve_times or not all(t >= 0 for t in self.solve_times):
+            raise ConfigError(
+                f"solve_times: must be nonempty and nonnegative, got {list(self.solve_times)}"
+            )
+        for p in self.integrabilities:
+            if not 1.0 < p < math.inf:
+                raise ConfigError(f"integrabilities: each must lie in (1, inf), got {p}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -1,13 +1,16 @@
 """Periodic grids, compactly supported scalar data, and cube geometry.
 
 All sampled objects live on a uniform grid over the fundamental cell
-[0, L)^d with periodic identification of opposite faces.  Supports are kept
-strictly interior to the cell so that spectral quantities of the sampled
-data coincide with their whole-space values, up to periodic-image terms
-that the test-suite quantifies empirically.
+[0, L)^d with periodic identification of opposite faces.  A ``ScalarField``
+is a grid and its values and stores no support: compact support is a
+property of the data.  ``make_bump`` vanishes outside its ball by formula,
+and a radius below L/2 keeps the ball clear of its periodic images, so
+spectral quantities of the sampled data coincide with their whole-space
+values, up to periodic-image terms that the test-suite quantifies
+empirically.
 
-Grid sizes are powers of two for FFT efficiency.  Distances and
-containment tests use the minimum-image convention throughout.
+Grid sizes are powers of two for FFT efficiency.  Distances use the
+minimum-image convention throughout.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "Grid",
-    "Box",
     "Cube",
     "ScalarField",
     "VectorField",
@@ -31,7 +33,6 @@ __all__ = [
     "cube_distance_to_complement",
 ]
 
-SUPPORT_TOL = 1e-12
 DIVERGENCE_TOL = 1e-10
 
 
@@ -103,38 +104,6 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by center and per-axis half-widths (periodic)."""
-
-    center: tuple[float, ...]
-    half_widths: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.center) != len(self.half_widths):
-            raise GeometryError("center and half_widths must have equal length")
-        if any(h < 0 for h in self.half_widths):
-            raise GeometryError("half widths must be nonnegative")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "half_widths", tuple(float(h) for h in self.half_widths))
-
-    @classmethod
-    def whole(cls, grid: Grid) -> "Box":
-        c = (0.5 * grid.length,) * grid.dimension
-        return cls(c, (0.5 * grid.length,) * grid.dimension)
-
-    def covers_cell(self, grid: Grid) -> bool:
-        return all(h >= 0.5 * grid.length - 1e-15 for h in self.half_widths)
-
-    def contains(self, points: np.ndarray, grid: Grid, slack: float = 1e-12) -> np.ndarray:
-        """Boolean mask of points inside the box, minimum-image metric."""
-        inside = np.ones(points.shape[1:], dtype=bool)
-        for i, (c, h) in enumerate(zip(self.center, self.half_widths)):
-            d = grid.min_image(points[i] - c)
-            inside &= np.abs(d) <= h + slack
-        return inside
-
-
-@dataclass(frozen=True)
 class Cube:
     """Axis-aligned cube in R^d (plain coordinates, no periodic wrap)."""
 
@@ -169,16 +138,15 @@ def _readonly(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Samples of a real function on a periodic grid with support metadata.
+    """Samples of a real function on a periodic grid.
 
     Values are copied and frozen; the grid mean is recorded at construction.
-    Construction verifies that samples vanish outside the declared support
-    box (absolute tolerance 1e-12).
+    A field carries no support metadata: where it vanishes is a property of
+    its values.
     """
 
     grid: Grid
     values: np.ndarray
-    support: Box
     mean: float = field(init=False)
 
     def __post_init__(self):
@@ -187,22 +155,11 @@ class ScalarField:
             raise GeometryError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "mean", float(vals.mean()))
-        if not self.support.covers_cell(self.grid):
-            outside = ~self.support.contains(self.grid.coordinates(), self.grid)
-            worst = np.abs(vals[outside]).max() if outside.any() else 0.0
-            if worst >= SUPPORT_TOL:
-                raise GeometryError(
-                    f"values reach {worst:.3e} outside the declared support box"
-                )
 
     def shifted(self, offsets: tuple[int, ...]) -> "ScalarField":
         """Field translated by whole grid cells (periodic roll)."""
         vals = np.roll(self.values, offsets, axis=tuple(range(self.grid.dimension)))
-        shift = tuple(o * self.grid.spacing for o in offsets)
-        c = tuple(
-            (ci + si) % self.grid.length for ci, si in zip(self.support.center, shift)
-        )
-        return ScalarField(self.grid, vals, Box(c, self.support.half_widths))
+        return ScalarField(self.grid, vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,8 +238,7 @@ def make_bump(grid: Grid, center: tuple[float, ...], radius: float, amplitude: f
     vals = np.zeros(grid.shape)
     inside = t < 1.0
     vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - t[inside]))
-    support = Box(tuple(c % grid.length for c in center), (radius,) * grid.dimension)
-    return ScalarField(grid, vals, support)
+    return ScalarField(grid, vals)
 
 
 def cube_distance_to_complement(support: Cube, container: Cube) -> float:
@@ -302,6 +258,6 @@ def cube_distance_to_complement(support: Cube, container: Cube) -> float:
 
 
 def demean(field_: ScalarField) -> ScalarField:
-    """Subtract the grid mean (support widens to the whole cell)."""
-    return ScalarField(field_.grid, field_.values - field_.mean, Box.whole(field_.grid))
+    """Subtract the grid mean."""
+    return ScalarField(field_.grid, field_.values - field_.mean)
 

@@ -13,11 +13,14 @@ time-stepping error, only one interpolation of the (smooth) initial data.
 A generic semi-Lagrangian solver (backward RK4 tracing plus per-step
 resampling) is provided for velocity fields without exact characteristics.
 
-Rate constants of the protocol (mixing decay rate, norm prefactors) are
-estimated from measured norm histories by log-linear fits; they are
-recorded per seed, never assumed.  ``norm_history`` measures the sampled
-states two at a time, on the calling thread and one worker thread; its
-results are identical to measuring them one after another in time order.
+The mixing rate c and the decay prefactors of the protocol are estimated
+per seed from measured norm histories (a log-linear fit and an upper
+envelope) and recorded.  The growth rate b is assumed, not measured:
+``estimate_mixer_constants`` sets b = c.
+
+``norm_history`` measures the sampled states two at a time, on the calling
+thread and one worker thread; its results are identical to measuring them
+one after another in time order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .fields import Box, Grid, ScalarField, VectorField, demean, radial_cutoff
+from .fields import Grid, ScalarField, VectorField, demean, radial_cutoff
 from .sobolev import NormValue, hs_norm, wsp_norm
 
 __all__ = [
@@ -274,10 +277,9 @@ def exact_solution_at(rho0: ScalarField, flow: FlowMap, t: float) -> ScalarField
     departure = _departure_points(flow, t, nodes, grid.length)
     # the nodes already lie in [0, L), where the departure points are wrapped
     if np.array_equal(departure, nodes):
-        return ScalarField(grid, rho0.values, rho0.support)
+        return rho0
     del nodes
-    vals = _sample_periodic(rho0.values, departure, grid.spacing)
-    return ScalarField(grid, vals, Box.whole(grid))
+    return ScalarField(grid, _sample_periodic(rho0.values, departure, grid.spacing))
 
 
 def advect_semi_lagrangian(
@@ -318,7 +320,7 @@ def advect_semi_lagrangian(
         if np.array_equal(departure, coords):
             continue
         values = _sample_periodic(values, np.mod(departure, grid.length), h)
-    return ScalarField(grid, values, rho0.support if steps == 0 else Box.whole(grid))
+    return ScalarField(grid, values)
 
 
 def velocity_norm_series(
@@ -376,10 +378,12 @@ def gronwall_lower_bound(l2: float, neg_norm: float) -> float:
 
 @dataclass(frozen=True)
 class MixerConstants:
-    """Measured rate constants of a mixing protocol.
+    """Rate constants of a mixing protocol, all measured except b.
 
-    growth_rate (b) and mixing_rate (c) are per unit time; field_prefactors
-    maps a derivative order r to the measured bound on the velocity norm;
+    mixing_rate (c) is the measured decay rate per unit time; growth_rate
+    (b) is per unit time too, but ``estimate_mixer_constants`` assumes
+    b = c rather than measuring it; field_prefactors maps a derivative
+    order r to the measured bound on the velocity norm;
     decay_prefactors maps an order s to the fitted prefactor of the
     exp(-s*c*t) decay; l2_norm is the conserved L2 norm of the datum.  The
     derived lower-bound prefactor for order s is l2_norm^2/decay_prefactors[s].

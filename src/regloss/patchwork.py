@@ -21,13 +21,12 @@ inside a window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .fields import Box, Cube, GeometryError, Grid, ScalarField
+from .fields import Cube, GeometryError, Grid, ScalarField
 from .mixing import FlowMap, MixerConstants, transported_values
 from .series import (
     ExpPolySeries,
@@ -462,8 +461,6 @@ def evaluate_truncated_solution(
     out = np.zeros(grid.shape)
     occupied = np.zeros(grid.shape, dtype=bool)
     half_cell = 0.5 * base_datum.grid.length
-    lo = [math.inf] * grid.dimension
-    hi = [-math.inf] * grid.dimension
     for n in range(1, count + 1):
         lam_n = schedule.lam.term(n)
         center = cubes[n - 1].center
@@ -484,14 +481,4 @@ def evaluate_truncated_solution(
             base_datum, base_flow, local_time, unit
         )
         occupied |= mask
-        for i in range(grid.dimension):
-            lo[i] = min(lo[i], center[i] - 0.5 * lam_n - corner[i])
-            hi[i] = max(hi[i], center[i] + 0.5 * lam_n - corner[i])
-    if math.isinf(lo[0]):
-        support = Box.whole(grid)
-    else:
-        support = Box(
-            tuple(0.5 * (a + b) for a, b in zip(lo, hi)),
-            tuple(0.5 * (b - a) for a, b in zip(lo, hi)),
-        )
-    return ScalarField(grid, out, support)
+    return ScalarField(grid, out)

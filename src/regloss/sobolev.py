@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Box, Cube, Grid, ScalarField, VectorField
+from .fields import Cube, GeometryError, Grid, ScalarField, VectorField
 
 __all__ = [
     "UnsupportedIndexError",
@@ -165,8 +165,13 @@ def gagliardo_seminorm(field: ScalarField, s: float, within: Cube | None = None)
     v = field.values
     mask = None
     if within is not None:
-        box = Box(within.center, (within.half,) * d)
-        mask = box.contains(g.coordinates(), g).astype(float)
+        if len(within.center) != d:
+            raise GeometryError("cube dimension does not match grid")
+        coords = g.coordinates()
+        inside = np.ones(g.shape, dtype=bool)
+        for i, c in enumerate(within.center):
+            inside &= np.abs(g.min_image(coords[i] - c)) <= within.half + 1e-12
+        mask = inside.astype(float)
     exponent = -(d + 2.0 * s)
     total = 0.0
     axes = tuple(range(d))

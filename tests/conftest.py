@@ -5,13 +5,14 @@ import pytest
 from regloss import (
     Grid,
     MixerConstants,
+    ScalarField,
     build_mixing_protocol,
     demean,
-    exact_solution_at,
     fit_exponential_rate,
-    hs_norm,
     make_bump,
+    norm_history,
 )
+from regloss.mixing import FIT_SKIP
 
 # default measurement protocol: 20 alternating shears, displacement 0.4/step
 SEED = 5
@@ -19,7 +20,6 @@ STEPS = 20
 STEP_DURATION = 0.125
 AMPLITUDE = 3.2
 DATUM_RADIUS = 0.125
-FIT_SKIP = 2
 
 
 @pytest.fixture(scope="session")
@@ -34,11 +34,7 @@ def default_mix():
     flow = build_mixing_protocol(SEED, STEPS * STEP_DURATION, STEP_DURATION, AMPLITUDE)
     times = flow.start_times()
     orders = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    history = {s: [] for s in orders}
-    for t in times:
-        state = demean(exact_solution_at(datum, flow, t))
-        for s in orders:
-            history[s].append(hs_norm(state, s).value)
+    history = norm_history(flow, datum, orders, times)
     fit = fit_exponential_rate(times[FIT_SKIP:], history[-1.0][FIT_SKIP:])
     c = -fit.rate
     envelopes = {
@@ -82,10 +78,4 @@ def dipole(grid: Grid, center, separation, radius, amplitude=1.0):
     """Compactly supported mean-zero pair of opposite bumps."""
     plus = make_bump(grid, (center[0] + separation, center[1]), radius, amplitude)
     minus = make_bump(grid, (center[0] - separation, center[1]), radius, amplitude)
-    from regloss import Box, ScalarField
-
-    return ScalarField(
-        grid,
-        plus.values - minus.values,
-        Box(tuple(center), (separation + radius, radius)),
-    )
+    return ScalarField(grid, plus.values - minus.values)

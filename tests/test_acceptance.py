@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from regloss import (
-    Box,
     Condition,
     Cube,
     ExpPolySeries,
@@ -57,7 +56,7 @@ def test_criterion_01_single_mode_norms_exact():
         started = time.perf_counter()
         grid = Grid(2, 256)
         x = grid.coordinates()
-        f = ScalarField(grid, np.sin(2 * np.pi * x[0]), Box.whole(grid))
+        f = ScalarField(grid, np.sin(2 * np.pi * x[0]))
         for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
             expected = (2 * math.pi) ** s / math.sqrt(2)
             got = hs_norm(f, s).value
@@ -94,7 +93,7 @@ def _interpolation_corpus(grid):
         k1, k2 = rng.integers(1, 9, 2)
         a, b = rng.uniform(0.5, 2.0, 2)
         values = a * np.sin(2 * np.pi * k1 * x[0]) + b * np.cos(2 * np.pi * k2 * x[1])
-        fields.append(ScalarField(grid, values, Box.whole(grid)))
+        fields.append(ScalarField(grid, values))
     shear = build_mixing_protocol(3, 0.25, 0.125, 1.6)
     for i in range(4):
         base = dipole(grid, (0.5, 0.5), 0.06 + 0.01 * i, 0.05)
@@ -128,7 +127,7 @@ def test_criterion_03_interpolation_inequality():
                 bound = interpolation_bound(cache[s1], cache[s2], s)
                 assert cache[s].value <= bound * (1.0 + 1e-10)
         x = grid.coordinates()
-        mode = ScalarField(grid, np.sin(6 * np.pi * x[0]), Box.whole(grid))
+        mode = ScalarField(grid, np.sin(6 * np.pi * x[0]))
         bound = interpolation_bound(hs_norm(mode, -0.5), hs_norm(mode, 1.5), 0.5)
         assert abs(hs_norm(mode, 0.5).value - bound) <= 1e-12 * bound
 
@@ -139,7 +138,7 @@ def test_criterion_04_almost_orthogonality():
         b1 = make_bump(grid, (0.25, 0.25), 0.1, 1.0)
         b2 = make_bump(grid, (0.75, 0.75), 0.1, -0.8)
         separation = 0.15  # distance from each support to its quarter-cell boundary
-        total = ScalarField(grid, b1.values + b2.values, Box.whole(grid))
+        total = ScalarField(grid, b1.values + b2.values)
         for s in (0.25, 0.5, 0.75):
             direct_sq = hs_norm(total, s).value ** 2
             pieces = [
@@ -178,7 +177,7 @@ def test_criterion_05_conservation():
         flow = build_mixing_protocol(SEED, STEP_DURATION, STEP_DURATION, 1.2)
         exact = exact_solution_at(datum, flow, STEP_DURATION)
         sl = advect_semi_lagrangian(datum, flow, dt=1e-3, steps=125)
-        diff = ScalarField(grid, sl.values - exact.values, Box.whole(grid))
+        diff = ScalarField(grid, sl.values - exact.values)
         assert hs_norm(diff, 0.0).value / hs_norm(exact, 0.0).value <= 1e-4
 
         full = build_mixing_protocol(SEED, STEPS * STEP_DURATION, STEP_DURATION, 1.2)

@@ -241,10 +241,20 @@ def test_cli_invalid_config_exit_code(tmp_path):
 def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
     config_path = tmp_path / "rates.json"
     config_path.write_text(json.dumps({"rate_b": 1.0, "rate_c": 1.0}))
+    no_times = tmp_path / "no_times.json"
+    no_times.write_text(json.dumps({"solve_times": []}))
+    p_one = tmp_path / "p_one.json"
+    p_one.write_text(json.dumps({"integrabilities": [1.0]}))
+    rates = ["--rate-b", "1", "--rate-c", "1"]
     cases = [
         (["sweep", "--config", str(config_path)], "configuration error: rate_b/rate_c"),
         # three pieces need a finer window than 64 points per side
         (["solve", "--grid", "64"], "resolution error: piece 3"),
+        (["certify", "--target", "partial", "--horizon", "0"], "configuration error: horizon"),
+        (["certify", "--target", "partial", "--sigma", "0", *rates], "configuration error: sigma"),
+        (["solve", "--grid", "128", "--times", "0", "-0.05"], "configuration error: solve_times"),
+        (["solve", "--config", str(no_times)], "configuration error: solve_times"),
+        (["norms", "--config", str(p_one)], "configuration error: integrabilities"),
     ]
     for argv, message in cases:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2

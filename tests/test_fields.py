@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from regloss import (
-    Box,
     Cube,
     GeometryError,
     Grid,
-    ScalarField,
     VectorField,
     cube_distance_to_complement,
     demean,
@@ -71,6 +69,16 @@ def test_bump_vanishes_on_cell_boundary():
     b = make_bump(g, (0.5, 0.5), 0.4, 1.0)
     assert np.all(b.values[0, :] == 0.0)
     assert np.all(b.values[:, 0] == 0.0)
+    # exactly zero at min-image distance >= radius, mid-cell and across the edge
+    x = g.coordinates()
+    for center, radius in (((0.5, 0.5), 0.4), ((0.03, 0.9), 0.2)):
+        b = make_bump(g, center, radius, 1.0)
+        dist = np.sqrt(sum(g.min_image(x[i] - c) ** 2 for i, c in enumerate(center)))
+        outside = dist >= radius
+        assert outside.any() and np.all(b.values[outside] == 0.0)
+    # the second bump wraps: it is nonzero on both sides of each cell edge
+    assert b.values[0].any() and b.values[-1].any()
+    assert b.values[:, 0].any() and b.values[:, -1].any()
 
 
 def test_bump_periodic_wrap_matches_roll():
@@ -88,13 +96,6 @@ def test_bump_radius_validation():
         make_bump(g, (0.5, 0.5), 0.5, 1.0)
 
 
-def test_scalar_field_support_enforced():
-    g = Grid(2, 64)
-    vals = np.ones(g.shape)
-    with pytest.raises(GeometryError):
-        ScalarField(g, vals, Box((0.5, 0.5), (0.1, 0.1)))
-
-
 def test_scalar_field_mean_metadata_and_immutability():
     g = Grid(2, 64)
     b = make_bump(g, (0.5, 0.5), 0.2, 1.0)
@@ -107,7 +108,6 @@ def test_demean():
     g = Grid(2, 64)
     d = demean(make_bump(g, (0.5, 0.5), 0.2, 1.0))
     assert abs(d.mean) < 1e-15
-    assert d.support.covers_cell(g)
 
 
 def test_vector_field_divergence_flag():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from regloss import (
-    Box,
     CFLError,
     FlowMap,
     Grid,
@@ -83,7 +82,7 @@ def test_shear_invariant_datum():
     g = Grid(2, 128)
     x = g.coordinates()
     step = FlowMap((ShearStep(0, 1, 0.7, 1.3, 0.4),))
-    datum = ScalarField(g, np.sin(2 * np.pi * x[1]), Box.whole(g))
+    datum = ScalarField(g, np.sin(2 * np.pi * x[1]))
     out = exact_solution_at(datum, step, 0.4)
     assert np.max(np.abs(out.values - datum.values)) < 1e-13
 
@@ -92,7 +91,7 @@ def test_shear_closed_form_characteristics():
     g = Grid(2, 256)
     x = g.coordinates()
     step = FlowMap((ShearStep(0, 1, 0.7, 1.3, 0.4),))
-    datum = ScalarField(g, np.sin(2 * np.pi * x[0]), Box.whole(g))
+    datum = ScalarField(g, np.sin(2 * np.pi * x[0]))
     out = exact_solution_at(datum, step, 0.4)
     closed = np.sin(2 * np.pi * (x[0] - 0.4 * 0.7 * np.sin(2 * np.pi * x[1] + 1.3)))
     assert np.max(np.abs(out.values - closed)) < 1e-8
@@ -102,7 +101,7 @@ def test_partial_step_composition():
     g = Grid(2, 128)
     x = g.coordinates()
     step = FlowMap((ShearStep(0, 1, 0.5, 0.2, 1.0),))
-    datum = ScalarField(g, np.sin(2 * np.pi * x[0]), Box.whole(g))
+    datum = ScalarField(g, np.sin(2 * np.pi * x[0]))
     out = exact_solution_at(datum, step, 0.35)
     closed = np.sin(2 * np.pi * (x[0] - 0.35 * 0.5 * np.sin(2 * np.pi * x[1] + 0.2)))
     assert np.max(np.abs(out.values - closed)) < 1e-8
@@ -112,7 +111,7 @@ def test_transported_values_at_and_between_the_nodes():
     g = Grid(2, 128)
     x = g.coordinates()
     step = FlowMap((ShearStep(0, 1, 0.5, 0.2, 1.0),))
-    datum = ScalarField(g, np.sin(2 * np.pi * x[0]), Box.whole(g))
+    datum = ScalarField(g, np.sin(2 * np.pi * x[0]))
     at_nodes = transported_values(datum, step, 0.35, x)
     assert np.array_equal(at_nodes, exact_solution_at(datum, step, 0.35).values)
     mid = x + 0.5 * g.spacing
@@ -138,7 +137,7 @@ def test_inverse_round_trip_within_interpolation_error():
     mid = exact_solution_at(datum, fwd, 0.5)
     back = exact_solution_at(mid, fwd.inverse(), 0.5)
     rel = (
-        hs_norm(ScalarField(g, back.values - datum.values, Box.whole(g)), 0.0).value
+        hs_norm(ScalarField(g, back.values - datum.values), 0.0).value
         / hs_norm(datum, 0.0).value
     )
     assert rel < 1e-6
@@ -170,7 +169,7 @@ def test_semi_lagrangian_matches_exact_map_single_step():
     exact = exact_solution_at(datum, flow, 0.125)
     sl = advect_semi_lagrangian(datum, flow, dt=0.125 / 64, steps=64)
     rel = (
-        hs_norm(ScalarField(g, sl.values - exact.values, Box.whole(g)), 0.0).value
+        hs_norm(ScalarField(g, sl.values - exact.values), 0.0).value
         / hs_norm(exact, 0.0).value
     )
     assert rel < 1e-3
@@ -246,7 +245,7 @@ def test_gronwall_lower_bound():
 def test_gronwall_single_mode_equality():
     g = Grid(2, 128)
     x = g.coordinates()
-    f = ScalarField(g, np.sin(2 * np.pi * x[0]), Box.whole(g))
+    f = ScalarField(g, np.sin(2 * np.pi * x[0]))
     for s in (0.3, 1.0):
         bound = gronwall_lower_bound(hs_norm(f, 0.0).value, hs_norm(f, -s).value)
         assert hs_norm(f, s).value == pytest.approx(bound, rel=1e-12)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from regloss import (
-    Box,
     Cube,
     Grid,
     NormValue,
@@ -32,7 +31,7 @@ def grid():
 @pytest.fixture(scope="module")
 def single_mode(grid):
     x = grid.coordinates()
-    return ScalarField(grid, np.sin(2 * np.pi * x[0]), Box.whole(grid))
+    return ScalarField(grid, np.sin(2 * np.pi * x[0]))
 
 
 def test_single_mode_closed_form(single_mode):
@@ -42,7 +41,7 @@ def test_single_mode_closed_form(single_mode):
 
 
 def test_zero_field_any_order(grid):
-    zero = ScalarField(grid, np.zeros(grid.shape), Box.whole(grid))
+    zero = ScalarField(grid, np.zeros(grid.shape))
     for s in (-1.0, 0.0, 0.7, 2.0):
         assert hs_norm(zero, s).value == 0.0
 
@@ -107,7 +106,7 @@ def test_wsp_vector_l2_combination(grid):
     x = grid.coordinates()
     shear = np.sin(2 * np.pi * x[1])
     vec = VectorField(grid, (shear, np.zeros(grid.shape)), divergence_free=True)
-    scalar = ScalarField(grid, shear, Box.whole(grid))
+    scalar = ScalarField(grid, shear)
     for s in (1.0, -1.0):
         assert wsp_norm(vec, s, 2.0).value == pytest.approx(
             wsp_norm(scalar, s, 2.0).value, rel=1e-12
@@ -115,13 +114,13 @@ def test_wsp_vector_l2_combination(grid):
     # the zero-mean rule of negative orders applies to each component
     const = np.ones(grid.shape)
     with_mean = VectorField(grid, (shear, const), divergence_free=True)
-    assert math.isinf(wsp_norm(ScalarField(grid, const, Box.whole(grid)), -1.0, 2.0).value)
+    assert math.isinf(wsp_norm(ScalarField(grid, const), -1.0, 2.0).value)
     assert math.isinf(wsp_norm(with_mean, -1.0, 2.0).value)
 
 
 def test_gagliardo_zero_field():
     g = Grid(2, 16)
-    zero = ScalarField(g, np.zeros(g.shape), Box.whole(g))
+    zero = ScalarField(g, np.zeros(g.shape))
     assert gagliardo_seminorm(zero, 0.5).value == 0.0
 
 
@@ -166,7 +165,7 @@ def test_gagliardo_multiplier_simultaneous_positivity(bump_corpus):
 def test_monotone_in_order_for_unit_l2_mean_zero(grid):
     f = demean(make_bump(grid, (0.5, 0.5), 0.15, 1.0))
     scale = hs_norm(f, 0.0).value
-    f = ScalarField(grid, f.values / scale, Box.whole(grid))
+    f = ScalarField(grid, f.values / scale)
     previous = 0.0
     for s in (0.0, 0.25, 0.5, 1.0, 2.0):
         value = hs_norm(f, s).value
@@ -217,7 +216,7 @@ def test_interpolation_bound_l2_between_dual_orders(grid):
 
 def test_interpolation_bound_two_mode_strict_gap(grid):
     x = grid.coordinates()
-    f = ScalarField(grid, np.sin(2 * np.pi * x[0]) + np.sin(8 * np.pi * x[0]), Box.whole(grid))
+    f = ScalarField(grid, np.sin(2 * np.pi * x[0]) + np.sin(8 * np.pi * x[0]))
     bound = interpolation_bound(hs_norm(f, 0.0), hs_norm(f, 1.0), 0.5)
     assert bound - hs_norm(f, 0.5).value > 1e-3
 
@@ -245,7 +244,7 @@ def test_orthogonality_bound_against_direct_double_sum():
     g = Grid(2, 64)
     b1 = make_bump(g, (0.25, 0.25), 0.1, 1.0)
     b2 = make_bump(g, (0.75, 0.75), 0.1, -0.8)
-    total = ScalarField(g, b1.values + b2.values, Box.whole(g))
+    total = ScalarField(g, b1.values + b2.values)
     for s in (0.25, 0.5, 0.75):
         direct = gagliardo_seminorm(total, s).value ** 2
         pieces = [
