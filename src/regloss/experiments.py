@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from .fields import Grid, Cube, demean, make_bump
 from .mixing import (
     FIT_SKIP,
+    PROFILES,
     FlowMap,
     MixerConstants,
     build_mixing_protocol,
@@ -120,10 +121,15 @@ class ExperimentConfig:
             raise ConfigError(f"dimension: must be >= 2, got {self.dimension}")
         if self.grid_points < 4 or self.grid_points & (self.grid_points - 1):
             raise ConfigError(f"grid_points: must be a power of two >= 4, got {self.grid_points}")
-        if self.steps < 1:
-            raise ConfigError(f"steps: must be >= 1, got {self.steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        # the rate fit drops FIT_SKIP samples of the steps + 1 and needs 3
+        if self.steps < FIT_SKIP + 2:
+            raise ConfigError(f"steps: must be >= {FIT_SKIP + 2}, got {self.steps}")
         if self.step_duration <= 0:
             raise ConfigError(f"step_duration: must be positive, got {self.step_duration}")
+        if self.profile not in PROFILES:
+            raise ConfigError(f"profile: must be one of {', '.join(PROFILES)}, got {self.profile!r}")
         if not 0 < self.datum_radius < 0.5:
             raise ConfigError(f"datum_radius: must lie in (0, 0.5), got {self.datum_radius}")
         if len(self.datum_center) != self.dimension:
@@ -149,6 +155,8 @@ class ExperimentConfig:
         for name in ("sigma", "horizon"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
+        if self.alpha_margin < 1:
+            raise ConfigError(f"alpha_margin: must be >= 1, got {self.alpha_margin}")
         for name in ("sweep_time", "sweep_threshold"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be nonnegative, got {getattr(self, name)}")

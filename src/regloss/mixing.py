@@ -75,6 +75,9 @@ class InsufficientDataError(ValueError):
     """Too few samples for the requested fit."""
 
 
+PROFILES = ("sine", "sawtooth-smoothed")
+
+
 def _profile(kind: str, theta: np.ndarray) -> np.ndarray:
     if kind == "sine":
         return np.sin(theta)
@@ -190,7 +193,7 @@ class FlowMap:
     def velocity_field(self, t: float, grid: Grid) -> VectorField:
         coords = grid.coordinates()
         vel = self.velocity_at(t, coords, grid.length)
-        return VectorField(grid, tuple(vel[i] for i in range(grid.dimension)), divergence_free=True)
+        return VectorField(grid, tuple(vel))
 
     def max_speed(self, length: float = 1.0) -> float:
         return max((s.max_speed(length) for s in self.steps), default=0.0)
@@ -394,7 +397,6 @@ class MixerConstants:
     field_prefactors: Mapping[float, float]
     decay_prefactors: Mapping[float, float]
     l2_norm: float
-    fit_window: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.growth_rate <= 0 or self.mixing_rate <= 0 or self.l2_norm <= 0:
@@ -459,7 +461,7 @@ def estimate_mixer_constants(
     The decay prefactor per order s is the measured upper envelope
     max_t ||rho(t)||_{-s} * exp(s*c*t), so the decay bound holds at every
     sampled time by construction; prefactors
-    are valid on the recorded window only.  For the fixed-amplitude
+    are valid on the sampled window only.  For the fixed-amplitude
     protocol the higher-order velocity norms are constant in time, so the
     growth rate is conservatively recorded as c with the field prefactors
     (orders 1 and 2, L^2) taken from the measured maxima.
@@ -490,7 +492,6 @@ def estimate_mixer_constants(
         field_prefactors=field_prefactors,
         decay_prefactors=decay_prefactors,
         l2_norm=l2,
-        fit_window=fits[1.0].window,
     )
     return constants, fits
 

@@ -120,10 +120,6 @@ class Classification:
     verdict: str  # convergent | divergent | bounded | unbounded
     reason: str
 
-    @property
-    def converges(self) -> bool:
-        return self.verdict in ("convergent", "bounded")
-
 
 def classify(series: ExpPolySeries) -> Classification:
     """Exact convergence verdict for the sum of |term(n)|.

@@ -47,7 +47,6 @@ def default_mix():
         field_prefactors={1.0: 1.0},
         decay_prefactors=envelopes,
         l2_norm=history[0.0][0],
-        fit_window=(times[FIT_SKIP], times[-1]),
     )
     return {
         "grid": grid,

@@ -245,6 +245,10 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
     no_times.write_text(json.dumps({"solve_times": []}))
     p_one = tmp_path / "p_one.json"
     p_one.write_text(json.dumps({"integrabilities": [1.0]}))
+    margin = tmp_path / "margin.json"
+    margin.write_text(json.dumps({"alpha_margin": 0.5}))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"profile": "foo"}))
     rates = ["--rate-b", "1", "--rate-c", "1"]
     cases = [
         (["sweep", "--config", str(config_path)], "configuration error: rate_b/rate_c"),
@@ -255,6 +259,11 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         (["solve", "--grid", "128", "--times", "0", "-0.05"], "configuration error: solve_times"),
         (["solve", "--config", str(no_times)], "configuration error: solve_times"),
         (["norms", "--config", str(p_one)], "configuration error: integrabilities"),
+        (["mix", "--steps", "3"], "configuration error: steps"),
+        (["certify", "--target", "partial", "--config", str(margin), *rates],
+         "configuration error: alpha_margin"),
+        (["mix", "--config", str(profile)], "configuration error: profile"),
+        (["mix", "--seed", "-1"], "configuration error: seed"),
     ]
     for argv, message in cases:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2

@@ -13,6 +13,7 @@ from regloss import (
     MixerConstants,
     ScalarField,
     ShearStep,
+    VectorField,
     advect_semi_lagrangian,
     build_mixing_protocol,
     demean,
@@ -26,7 +27,7 @@ from regloss import (
     transported_values,
     velocity_norm_series,
 )
-from regloss.mixing import protocol_to_json
+from regloss.mixing import PROFILES, protocol_to_json
 
 
 def test_single_step_protocol():
@@ -333,6 +334,28 @@ def test_estimate_mixer_constants_contract():
             assert v <= constants.decay_prefactors[s] * math.exp(-s * c * t) * (1 + 1e-12)
 
 
+def test_estimate_mixer_constants_transform_count(monkeypatch):
+    # 21 states x 2 orders, 1 for the L2 norm, and 2 components x 20 steps x 2
+    # orders for the velocity norms; no velocity field is checked for divergence
+    datum, flow = _default_protocol(64)
+    calls = {"fftn": 0, "divergence": 0}
+    fftn = np.fft.fftn
+    divergence = VectorField.spectral_divergence
+
+    def counted_fftn(*args, **kwargs):
+        calls["fftn"] += 1
+        return fftn(*args, **kwargs)
+
+    def counted_divergence(self):
+        calls["divergence"] += 1
+        return divergence(self)
+
+    monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+    monkeypatch.setattr(VectorField, "spectral_divergence", counted_divergence)
+    estimate_mixer_constants(flow, datum)
+    assert calls == {"fftn": 123, "divergence": 0}
+
+
 def test_mixer_constants_validation():
     with pytest.raises(ValueError):
         MixerConstants(0.0, 1.0, {1.0: 1.0}, {1.0: 1.0}, 1.0)
@@ -366,8 +389,21 @@ def test_three_dimensional_transport_conserves_mass():
 def test_banded_step_is_divergence_free_and_supported():
     g = Grid(2, 256)
     flow = build_mixing_protocol(4, 0.25, 0.25, 1.0, banded=True)
-    field = flow.velocity_field(0.1, g)  # construction validates the div-free flag
+    field = flow.velocity_field(0.1, g)
+    assert field.spectral_divergence() < 1e-10
     comp = field.components[flow.steps[0].axis]
     y = g.axis()
     outside = np.abs(y - 0.5) >= 7.0 / 16.0 + 1e-12
     assert np.max(np.abs(comp[:, outside] if flow.steps[0].transverse == 1 else comp[outside, :])) == 0.0
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("banded", [False, True], ids=["unbanded", "banded"])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_every_shear_step_is_divergence_free(profile, banded, dimension):
+    grid = Grid(dimension, 32)
+    flow = build_mixing_protocol(
+        5, 2.5, 0.125, 3.2, dimension=dimension, profile=profile, banded=banded
+    )
+    for t in flow.start_times()[:-1]:
+        assert flow.velocity_field(t, grid).spectral_divergence() < 1e-10
