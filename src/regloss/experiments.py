@@ -136,6 +136,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"datum_center: needs {self.dimension} coordinates, got {len(self.datum_center)}"
             )
+        for name in ("rate_b", "rate_c"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name}: must be positive when set, got {value}")
+        # sweep, solve and certify-partial without both rates fit rates on the
+        # seeded protocol, which needs a datum that is not zero and a flow that moves it
+        injected = self.rate_b is not None and self.rate_c is not None
+        if self.mode in ("lower-bound-sweep", "truncated-solution") or (
+            self.mode == "certify-partial" and not injected
+        ):
+            for name in ("amplitude", "datum_amplitude"):
+                if getattr(self, name) == 0:
+                    raise ConfigError(f"{name}: measured rates need a nonzero value, got 0")
         if self.mode == "certify-partial":
             if self.r <= 1:
                 raise ConfigError(f"r: partial-loss mode needs r > 1, got {self.r}")
@@ -291,6 +304,9 @@ def _run_mix(config: ExperimentConfig, bundle: ReportBundle) -> None:
 def _run_norms(config: ExperimentConfig, bundle: ReportBundle) -> None:
     grid = Grid(config.dimension, config.grid_points)
     datum = _datum(config, grid)
+    # the double sum costs O(M^(2d)): small grids only, one call for every order
+    fractional = [s for s in config.orders if 0.0 < s < 1.0] if config.grid_points <= 64 else []
+    gagliardo = dict(zip(fractional, gagliardo_seminorm(datum, fractional))) if fractional else {}
     rows = []
     for s in config.orders:
         nv = hs_norm(datum, s)
@@ -298,8 +314,8 @@ def _run_norms(config: ExperimentConfig, bundle: ReportBundle) -> None:
         for p in config.integrabilities:
             if p != 2.0:
                 rows.append(("datum", s, p, "multiplier", wsp_norm(datum, s, p).value))
-        if 0.0 < s < 1.0 and config.grid_points <= 64:
-            rows.append(("datum", s, 2.0, "gagliardo", gagliardo_seminorm(datum, s).value))
+        if s in gagliardo:
+            rows.append(("datum", s, 2.0, "gagliardo", gagliardo[s].value))
     bundle.add_table("norm_table", ["field_id", "s", "p", "method", "value"], rows)
     bundle.note(f"norm table over {len(config.orders)} orders on M={config.grid_points}")
 

@@ -8,7 +8,8 @@ Transported data are evaluated by composing the exact inverse maps at the
 requested points (the grid nodes, or any points) and interpolating the
 initial datum once with a periodic quintic spline: there is no
 time-stepping error, only one interpolation of the (smooth) initial data.
-``_sample_periodic`` is the only interpolation call in the package.
+``_prefilter`` then ``_sample`` is the package's only interpolation route,
+for exact transport and for the semi-Lagrangian step alike.
 
 A generic semi-Lagrangian solver (backward RK4 tracing plus per-step
 resampling) is provided for velocity fields without exact characteristics.
@@ -18,9 +19,12 @@ per seed from measured norm histories (a log-linear fit and an upper
 envelope) and recorded.  The growth rate b is assumed, not measured:
 ``estimate_mixer_constants`` sets b = c.
 
-``norm_history`` measures the sampled states two at a time, on the calling
-thread and one worker thread; its results are identical to measuring them
-one after another in time order.
+Two routes use a second core, each with the calling thread and one worker
+thread, and each gives results identical to a serial loop:
+``norm_history`` measures the sampled states two at a time, and
+``advect_semi_lagrangian`` traces and samples the two halves of the grid
+nodes side by side in every step.  Exact transport starts no thread, so
+``norm_history`` never nests one pool inside the other.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, spline_filter
 
 from .fields import Grid, ScalarField, VectorField, demean, radial_cutoff
 from .sobolev import NormValue, hs_norm, wsp_norm
@@ -240,10 +244,17 @@ def build_mixing_protocol(
     return FlowMap(tuple(steps), seed=seed)
 
 
-def _sample_periodic(values: np.ndarray, points: np.ndarray, spacing: float) -> np.ndarray:
-    """Periodic quintic sample of the grid values at the points, which it scales in place."""
+def _prefilter(values: np.ndarray) -> np.ndarray:
+    """Periodic quintic spline coefficients of the grid values."""
+    return spline_filter(values, INTERPOLATION_ORDER, mode="grid-wrap")
+
+
+def _sample(coefficients: np.ndarray, points: np.ndarray, spacing: float) -> np.ndarray:
+    """Quintic spline of ``_prefilter`` coefficients at the points, which it scales in place."""
     points /= spacing
-    return map_coordinates(values, points, order=INTERPOLATION_ORDER, mode="grid-wrap")
+    return map_coordinates(
+        coefficients, points, order=INTERPOLATION_ORDER, mode="grid-wrap", prefilter=False
+    )
 
 
 def _departure_points(flow: FlowMap, t: float, points: np.ndarray, length: float) -> np.ndarray:
@@ -262,7 +273,7 @@ def transported_values(
     """
     grid = rho0.grid
     departure = _departure_points(flow, t, points, grid.length)
-    return _sample_periodic(rho0.values, departure, grid.spacing)
+    return _sample(_prefilter(rho0.values), departure, grid.spacing)
 
 
 def exact_solution_at(rho0: ScalarField, flow: FlowMap, t: float) -> ScalarField:
@@ -282,7 +293,7 @@ def exact_solution_at(rho0: ScalarField, flow: FlowMap, t: float) -> ScalarField
     if np.array_equal(departure, nodes):
         return rho0
     del nodes
-    return ScalarField(grid, _sample_periodic(rho0.values, departure, grid.spacing))
+    return ScalarField(grid, _sample(_prefilter(rho0.values), departure, grid.spacing))
 
 
 def advect_semi_lagrangian(
@@ -295,7 +306,13 @@ def advect_semi_lagrangian(
 
     Works for any velocity path (callable (t, coords) -> components array),
     including fields without exact characteristics.  Requires CFL number
-    dt * max|u| / h <= 1.
+    dt * max|u| / h <= 1, checked over every node before a step samples.
+
+    The nodes are split into two halves along grid axis 0: in each step
+    the calling thread traces and samples one half and one worker thread
+    the other, so the velocity and spline kernels, which release the
+    interpreter lock, run on two cores.  Every node takes the same
+    arithmetic as in a serial loop, so the result is identical to it.
     """
     if not dt > 0 or steps < 0:
         raise ValueError("dt must be positive and steps nonnegative")
@@ -305,24 +322,43 @@ def advect_semi_lagrangian(
         vel = lambda t, c: flow.velocity_at(t, c, grid.length)
     else:
         vel = velocity
-    coords = grid.coordinates()
+    # each thread's half of the nodes, contiguous in memory
+    lower, upper = (part.copy() for part in np.split(grid.coordinates(), 2, axis=1))
     values = rho0.values
     h = grid.spacing
-    for m in range(steps):
-        t1 = (m + 1) * dt
-        k1 = vel(t1, coords)
-        speed = float(np.max(np.abs(k1)))
-        if dt * speed / h > 1.0 + 1e-9:
-            raise CFLError(
-                f"CFL number {dt * speed / h:.3f} exceeds 1; reduce dt below {h / speed:.3e}"
-            )
-        k2 = vel(t1 - 0.5 * dt, coords - 0.5 * dt * k1)
-        k3 = vel(t1 - 0.5 * dt, coords - 0.5 * dt * k2)
-        k4 = vel(t1 - dt, coords - dt * k3)
-        departure = coords - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.array_equal(departure, coords):
-            continue
-        values = _sample_periodic(values, np.mod(departure, grid.length), h)
+
+    def depart(nodes: np.ndarray, t1: float) -> tuple[float, np.ndarray]:
+        """Largest speed at t1 over the nodes and their RK4 departure points."""
+        k1 = vel(t1, nodes)
+        k2 = vel(t1 - 0.5 * dt, nodes - 0.5 * dt * k1)
+        k3 = vel(t1 - 0.5 * dt, nodes - 0.5 * dt * k2)
+        k4 = vel(t1 - dt, nodes - dt * k3)
+        departure = nodes - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return float(np.max(np.abs(k1))), departure
+
+    def resample(coefficients: np.ndarray, departure: np.ndarray) -> np.ndarray:
+        return _sample(coefficients, np.mod(departure, grid.length), h)
+
+    pool = ThreadPoolExecutor(1)
+    try:
+        for m in range(steps):
+            t1 = (m + 1) * dt
+            traced = pool.submit(depart, upper, t1)
+            speed, lower_departure = depart(lower, t1)
+            upper_speed, upper_departure = traced.result()
+            speed = max(speed, upper_speed)
+            if dt * speed / h > 1.0 + 1e-9:
+                raise CFLError(
+                    f"CFL number {dt * speed / h:.3f} exceeds 1; reduce dt below {h / speed:.3e}"
+                )
+            if np.array_equal(lower_departure, lower) and np.array_equal(upper_departure, upper):
+                continue
+            coefficients = _prefilter(values)
+            sampled = pool.submit(resample, coefficients, upper_departure)
+            lower_values = resample(coefficients, lower_departure)
+            values = np.concatenate((lower_values, sampled.result()))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return ScalarField(grid, values)
 
 

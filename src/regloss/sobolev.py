@@ -9,7 +9,9 @@ distinguished value +inf rather than an exception.
 
 For 0 < s < 1 the Gagliardo double sum over grid pairs (minimum-image
 distance, diagonal skipped) provides an independent evaluation route that
-never touches the FFT; it is O(M^{2d}) and meant for small grids.
+never touches the FFT; it is O(M^{2d}) and meant for small grids.  One
+call takes a list of orders and walks the grid shifts once for all of
+them.
 """
 
 from __future__ import annotations
@@ -149,16 +151,22 @@ def wsp_norm(field: ScalarField | VectorField, s: float, p: float) -> NormValue:
     return NormValue(value, idx, "multiplier")
 
 
-def gagliardo_seminorm(field: ScalarField, s: float, within: Cube | None = None) -> NormValue:
-    """Double-sum Gagliardo seminorm over grid pairs, 0 < s < 1.
+def gagliardo_seminorm(
+    field: ScalarField, orders: Sequence[float], within: Cube | None = None
+) -> list[NormValue]:
+    """Double-sum Gagliardo seminorms over grid pairs, one per order in (0, 1).
 
     Direct summation of |f(x)-f(y)|^2 / dist(x,y)^(d+2s) * h^(2d) over all
     node pairs with minimum-image distance, skipping the diagonal.  With
     ``within`` both points are restricted to that cube, which localizes the
-    double integral.  Cost is O(M^{2d}): use small grids.
+    double integral.  The shifts are walked once for every order: each
+    shift's squared distance and summed squared difference are kept, then
+    weighted per order in shift order, so each value equals a single-order
+    sum bit for bit.  Cost is O(M^{2d}): use small grids.
     """
-    if not 0.0 < s < 1.0:
-        raise UnsupportedIndexError(f"Gagliardo order must lie in (0, 1), got {s}")
+    for s in orders:
+        if not 0.0 < s < 1.0:
+            raise UnsupportedIndexError(f"Gagliardo order must lie in (0, 1), got {s}")
     g = field.grid
     d = g.dimension
     h = g.spacing
@@ -172,9 +180,8 @@ def gagliardo_seminorm(field: ScalarField, s: float, within: Cube | None = None)
         for i, c in enumerate(within.center):
             inside &= np.abs(g.min_image(coords[i] - c)) <= within.half + 1e-12
         mask = inside.astype(float)
-    exponent = -(d + 2.0 * s)
-    total = 0.0
     axes = tuple(range(d))
+    sums = []  # (squared distance, summed squared difference) per shift
     for shift in np.ndindex(g.shape):
         if all(c == 0 for c in shift):
             continue
@@ -182,14 +189,19 @@ def gagliardo_seminorm(field: ScalarField, s: float, within: Cube | None = None)
         for c in shift:
             dc = min(c, g.points - c) * h
             dist2 += dc * dc
-        w = dist2 ** (0.5 * exponent)
         rolled = np.roll(v, shift, axis=axes)
         diff2 = (v - rolled) ** 2
         if mask is not None:
             diff2 = diff2 * mask * np.roll(mask, shift, axis=axes)
-        total += w * float(diff2.sum())
-    value = math.sqrt(total * h ** (2 * d))
-    return NormValue(value, SobolevIndex(s, 2.0), "gagliardo")
+        sums.append((dist2, float(diff2.sum())))
+    out = []
+    for s in orders:
+        exponent = -(d + 2.0 * s)
+        total = 0.0
+        for dist2, sq in sums:
+            total += dist2 ** (0.5 * exponent) * sq
+        out.append(NormValue(math.sqrt(total * h ** (2 * d)), SobolevIndex(s, 2.0), "gagliardo"))
+    return out
 
 
 def rescaled_norm(base: NormValue, lam: float, d: int) -> NormValue:

@@ -249,6 +249,10 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
     margin.write_text(json.dumps({"alpha_margin": 0.5}))
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({"profile": "foo"}))
+    still = tmp_path / "still.json"
+    still.write_text(json.dumps({"amplitude": 0}))
+    no_datum = tmp_path / "no_datum.json"
+    no_datum.write_text(json.dumps({"datum_amplitude": 0}))
     rates = ["--rate-b", "1", "--rate-c", "1"]
     cases = [
         (["sweep", "--config", str(config_path)], "configuration error: rate_b/rate_c"),
@@ -264,6 +268,14 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
          "configuration error: alpha_margin"),
         (["mix", "--config", str(profile)], "configuration error: profile"),
         (["mix", "--seed", "-1"], "configuration error: seed"),
+        # rates fitted on a protocol that does not move, or on a zero datum
+        (["sweep", "--grid", "64", "--config", str(still)], "configuration error: amplitude"),
+        (["sweep", "--grid", "64", "--config", str(no_datum)],
+         "configuration error: datum_amplitude"),
+        (["certify", "--target", "partial", "--rate-b", "-1", "--rate-c", "1"],
+         "configuration error: rate_b"),
+        (["certify", "--target", "partial", "--rate-b", "1", "--rate-c", "0"],
+         "configuration error: rate_c"),
     ]
     for argv, message in cases:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from regloss import (
     CFLError,
@@ -180,8 +181,78 @@ def test_semi_lagrangian_cfl_guard():
     g = Grid(2, 256)
     datum = make_bump(g, (0.5, 0.5), 0.2, 1.0)
     flow = build_mixing_protocol(5, 0.125, 0.125, 1.2)
-    with pytest.raises(CFLError):
+    before = threading.active_count()
+    with pytest.raises(CFLError) as raised:
         advect_semi_lagrangian(datum, flow, dt=0.01, steps=2)
+    assert str(raised.value) == "CFL number 3.072 exceeds 1; reduce dt below 3.255e-03"
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("fast_half", ["lower", "upper"])
+def test_semi_lagrangian_cfl_guard_covers_both_halves_of_the_nodes(fast_half):
+    # the nodes are split along axis 0; only one half moves faster than the CFL limit
+    g = Grid(2, 64)
+    datum = make_bump(g, (0.5, 0.5), 0.2, 1.0)
+
+    def velocity(t, c):
+        fast = c[0] < 0.5 if fast_half == "lower" else c[0] >= 0.5
+        return np.stack([np.where(fast, 100.0, 0.0), np.zeros_like(c[1])])
+
+    before = threading.active_count()
+    with pytest.raises(CFLError, match=r"^CFL number 1\.600 exceeds 1; reduce dt below 1\.563e-04$"):
+        advect_semi_lagrangian(datum, velocity, dt=0.00025, steps=1)
+    assert threading.active_count() == before
+
+
+def _serial_rk4(rho0, velocity, dt, steps):
+    """Reference: one serial backward-RK4 loop over all nodes with one quintic resample."""
+    grid = rho0.grid
+    coords = grid.coordinates()
+    values = rho0.values
+    for m in range(steps):
+        t1 = (m + 1) * dt
+        k1 = velocity(t1, coords)
+        k2 = velocity(t1 - 0.5 * dt, coords - 0.5 * dt * k1)
+        k3 = velocity(t1 - 0.5 * dt, coords - 0.5 * dt * k2)
+        k4 = velocity(t1 - dt, coords - dt * k3)
+        departure = coords - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.array_equal(departure, coords):
+            continue
+        points = np.mod(departure, grid.length) / grid.spacing
+        values = map_coordinates(values, points, order=5, mode="grid-wrap")
+    return values
+
+
+def _swirl(t, c):
+    """Divergence-free, time-dependent velocity without exact characteristics."""
+    x, y = 2 * np.pi * c[0], 2 * np.pi * c[1]
+    return np.stack([0.6 * np.sin(y) * math.cos(t), 0.4 * np.sin(x + t)])
+
+
+@pytest.mark.parametrize(
+    "dimension, points, kind, dt, steps",
+    [
+        (2, 64, "flow", 0.01, 20),  # crosses the step boundary at t = 0.125
+        (2, 64, "callable", 0.01, 12),
+        (3, 16, "flow", 0.02, 9),  # banded, crosses a step boundary
+    ],
+)
+def test_semi_lagrangian_is_identical_to_a_serial_rk4_loop(dimension, points, kind, dt, steps):
+    g = Grid(dimension, points)
+    center = (0.45, 0.55, 0.5)[:dimension]
+    datum = demean(make_bump(g, center, 0.2, 1.0))
+    if kind == "flow":
+        flow = build_mixing_protocol(3, 0.25, 0.125, 1.2, dimension=dimension, banded=dimension == 3)
+        assert dt * steps > flow.steps[0].duration
+        velocity = flow
+        serial_velocity = lambda t, c: flow.velocity_at(t, c, g.length)
+    else:
+        velocity = serial_velocity = _swirl
+    out = advect_semi_lagrangian(datum, velocity, dt, steps)
+    expected = _serial_rk4(datum, serial_velocity, dt, steps)
+    assert out.values.shape == g.shape
+    assert out.values.tobytes() == expected.tobytes()
+    assert not np.array_equal(out.values, datum.values)
 
 
 def test_velocity_norm_series_constant_across_steps():

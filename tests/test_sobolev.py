@@ -122,15 +122,15 @@ def test_wsp_vector_l2_combination(grid):
 def test_gagliardo_zero_field():
     g = Grid(2, 16)
     zero = ScalarField(g, np.zeros(g.shape))
-    assert gagliardo_seminorm(zero, 0.5).value == 0.0
+    assert gagliardo_seminorm(zero, [0.5])[0].value == 0.0
 
 
 def test_gagliardo_translation_invariance():
     g = Grid(2, 32)
     b = make_bump(g, (0.5, 0.5), 0.2, 1.0)
     shifted = b.shifted((3, 5))
-    a = gagliardo_seminorm(b, 0.5).value
-    c = gagliardo_seminorm(shifted, 0.5).value
+    a = gagliardo_seminorm(b, [0.5])[0].value
+    c = gagliardo_seminorm(shifted, [0.5])[0].value
     assert a == pytest.approx(c, rel=1e-12)
 
 
@@ -139,28 +139,82 @@ def test_gagliardo_order_validation():
     b = make_bump(g, (0.5, 0.5), 0.2, 1.0)
     for s in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(UnsupportedIndexError):
-            gagliardo_seminorm(b, s)
+            gagliardo_seminorm(b, [0.5, s])
+
+
+# float.hex of the one-order double sum before it walked the shifts once for
+# every order: M -> (no window, window wrapping the cell edge), orders GOLDEN_ORDERS
+GOLDEN_ORDERS = (0.13, 0.5, 0.88)
+GOLDEN = {
+    16: (
+        ("0x1.441142b3be499p+0", "0x1.1e3903931d187p+1", "0x1.22532c273e9d1p+2"),
+        ("0x1.41fcde8e1d590p-3", "0x1.7ce9a9c0a4e93p-2", "0x1.e29a44e7a9a8dp-1"),
+    ),
+    32: (
+        ("0x1.46ee1e2bb3e32p+0", "0x1.29362e755b3d1p+1", "0x1.48d3d66130e5ep+2"),
+        ("0x1.2ed772b3c9fdcp-3", "0x1.8a9437048513ep-2", "0x1.215fd69c0225dp+0"),
+    ),
+}
+EDGE_WINDOW = Cube((0.95, 0.1), 0.2)
+
+
+@pytest.mark.parametrize("points", sorted(GOLDEN))
+def test_gagliardo_values_are_bit_identical_to_the_one_order_sum(points):
+    b = make_bump(Grid(2, points), (0.9, 0.2), 0.3, 1.0)
+    for within, want in zip((None, EDGE_WINDOW), GOLDEN[points]):
+        got = gagliardo_seminorm(b, GOLDEN_ORDERS, within=within)
+        assert [nv.value.hex() for nv in got] == list(want)
+        assert [nv.index.s for nv in got] == list(GOLDEN_ORDERS)
+        assert all(nv.method == "gagliardo" for nv in got)
+
+
+def test_gagliardo_one_call_equals_one_call_per_order():
+    b = make_bump(Grid(2, 16), (0.3, 0.6), 0.25, 1.0)
+    orders = (0.7, 0.2, 0.7, 0.45)
+    for within in (None, EDGE_WINDOW):
+        together = [nv.value for nv in gagliardo_seminorm(b, orders, within=within)]
+        alone = [gagliardo_seminorm(b, [s], within=within)[0].value for s in orders]
+        assert together == alone
+    assert gagliardo_seminorm(b, []) == []
+
+
+def test_gagliardo_walks_the_shifts_once_for_every_order(monkeypatch):
+    b = make_bump(Grid(2, 16), (0.5, 0.5), 0.25, 1.0)
+    roll = np.roll
+    rolls = []
+
+    def counting_roll(*args, **kwargs):
+        rolls.append(args)
+        return roll(*args, **kwargs)
+
+    monkeypatch.setattr(np, "roll", counting_roll)
+    gagliardo_seminorm(b, GOLDEN_ORDERS)
+    assert len(rolls) == 16 * 16 - 1  # one roll per nonzero shift, not one per shift and order
+    rolls.clear()
+    gagliardo_seminorm(b, GOLDEN_ORDERS, within=EDGE_WINDOW)
+    assert len(rolls) == 2 * (16 * 16 - 1)  # the values and the window mask
 
 
 def test_gagliardo_multiplier_ratio_constant_at_half(bump_corpus):
     grid, bumps = bump_corpus
     ratios = [
-        gagliardo_seminorm(b, 0.5).value / hs_norm(b, 0.5).value for b in bumps
+        gagliardo_seminorm(b, [0.5])[0].value / hs_norm(b, 0.5).value for b in bumps
     ]
     assert (max(ratios) - min(ratios)) / min(ratios) < 0.02
 
 
 def test_gagliardo_multiplier_simultaneous_positivity(bump_corpus):
     grid, bumps = bump_corpus
-    for s in (0.25, 0.5, 0.75):
-        ratios = []
-        for b in bumps:
-            gag = gagliardo_seminorm(b, s).value
+    orders = (0.25, 0.5, 0.75)
+    ratios = {s: [] for s in orders}
+    for b in bumps:
+        for s, gag in zip(orders, gagliardo_seminorm(b, orders)):
             mult = hs_norm(b, s).value
-            assert (gag > 0) == (mult > 0)
-            ratios.append(gag / mult)
-        # the equivalence factor stays inside a fixed interval on the corpus
-        assert (max(ratios) - min(ratios)) / min(ratios) < 0.10
+            assert (gag.value > 0) == (mult > 0)
+            ratios[s].append(gag.value / mult)
+    # the equivalence factor stays inside a fixed interval on the corpus
+    for r in ratios.values():
+        assert (max(r) - min(r)) / min(r) < 0.10
 
 
 def test_monotone_in_order_for_unit_l2_mean_zero(grid):
@@ -246,23 +300,23 @@ def test_orthogonality_bound_against_direct_double_sum():
     b1 = make_bump(g, (0.25, 0.25), 0.1, 1.0)
     b2 = make_bump(g, (0.75, 0.75), 0.1, -0.8)
     total = ScalarField(g, b1.values + b2.values)
-    for s in (0.25, 0.5, 0.75):
-        direct = gagliardo_seminorm(total, s).value ** 2
-        pieces = [
-            (gagliardo_seminorm(b, s).value ** 2, hs_norm(b, 0.0).value ** 2, 0.15)
-            for b in (b1, b2)
-        ]
-        assert direct >= orthogonality_lower_bound(pieces, s, 2)
+    orders = (0.25, 0.5, 0.75)
+    direct = gagliardo_seminorm(total, orders)
+    per_piece = [(gagliardo_seminorm(b, orders), hs_norm(b, 0.0).value ** 2) for b in (b1, b2)]
+    for i, s in enumerate(orders):
+        pieces = [(gag[i].value ** 2, l2_sq, 0.15) for gag, l2_sq in per_piece]
+        assert direct[i].value ** 2 >= orthogonality_lower_bound(pieces, s, 2)
 
 
 def test_localization_tail_bound():
     g = Grid(2, 64)
     b = make_bump(g, (0.25, 0.25), 0.1, 1.0)
     region = Cube((0.25, 0.25), 0.5)
-    for s in (0.25, 0.5, 0.75):
-        global_sq = gagliardo_seminorm(b, s).value ** 2
-        local_sq = gagliardo_seminorm(b, s, within=region).value ** 2
+    orders = (0.25, 0.5, 0.75)
+    global_norms = gagliardo_seminorm(b, orders)
+    local_norms = gagliardo_seminorm(b, orders, within=region)
+    for s, glob, local in zip(orders, global_norms, local_norms):
         tail = (
             sphere_surface_area(2) / s * 0.15 ** (-2 * s) * hs_norm(b, 0.0).value ** 2
         )
-        assert global_sq <= local_sq + tail
+        assert glob.value**2 <= local.value**2 + tail
