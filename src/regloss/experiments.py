@@ -50,15 +50,6 @@ __all__ = [
     "revalidate_certificate",
 ]
 
-MODES = (
-    "mix",
-    "norms",
-    "certify-total",
-    "certify-partial",
-    "lower-bound-sweep",
-    "truncated-solution",
-)
-
 DEFAULT_S_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DEFAULT_T_GRID = (0.01, 0.1, 1.0)
 
@@ -188,9 +179,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"{sorted(unknown)[0]}: unknown configuration field")
         coerced = dict(data)
-        for name in ("datum_center", "orders", "integrabilities", "s_grid", "t_grid", "solve_times"):
-            if name in coerced and coerced[name] is not None:
-                coerced[name] = tuple(coerced[name])
+        for f in fields(cls):
+            if isinstance(f.default, tuple) and coerced.get(f.name) is not None:
+                coerced[f.name] = tuple(coerced[f.name])
         return cls(**coerced)
 
     def to_dict(self) -> dict:
@@ -253,7 +244,11 @@ def _measured_constants(config: ExperimentConfig, order: float):
     grid = Grid(2, min(config.grid_points, 256))
     datum = _datum(planar, grid)
     flow = _protocol(planar)
-    constants, _ = estimate_mixer_constants(flow, datum, decay_orders=(order, 1.0))
+    try:
+        constants, _ = estimate_mixer_constants(flow, datum, decay_orders=(order, 1.0))
+    except ValueError as exc:
+        # a datum whose norms underflow, or a flow too weak to mix it
+        raise ConfigError(f"datum_amplitude/amplitude: no rates can be measured: {exc}") from exc
     return datum, constants
 
 
@@ -484,19 +479,22 @@ def _run_solve(config: ExperimentConfig, bundle: ReportBundle) -> None:
     )
 
 
+_RUNNERS = {
+    "mix": _run_mix,
+    "norms": _run_norms,
+    "certify-total": _certify_total,
+    "certify-partial": _certify_partial,
+    "lower-bound-sweep": _run_sweep,
+    "truncated-solution": _run_solve,
+}
+MODES = tuple(_RUNNERS)
+
+
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """Run one experiment; deterministic for fixed (config, seed)."""
     bundle = ReportBundle(config=config)
     bundle.note(f"mode: {config.mode}")
-    runner = {
-        "mix": _run_mix,
-        "norms": _run_norms,
-        "certify-total": _certify_total,
-        "certify-partial": _certify_partial,
-        "lower-bound-sweep": _run_sweep,
-        "truncated-solution": _run_solve,
-    }[config.mode]
-    runner(config, bundle)
+    _RUNNERS[config.mode](config, bundle)
     return bundle
 
 
@@ -524,10 +522,6 @@ def revalidate_certificate(data: dict) -> bool:
     """Re-derive a serialized certificate and compare verdict and series."""
     cert = ConditionCertificate.from_dict(data)
     schedule = Schedule.from_dict(cert.params["schedule"])
-    kwargs = {
-        key: cert.params[key]
-        for key in ("s", "t", "r", "p", "sigma", "b", "c")
-        if key in cert.params
-    }
+    kwargs = {key: value for key, value in cert.params.items() if key not in ("d", "schedule")}
     fresh = evaluate_condition(schedule, cert.condition, **kwargs)
     return fresh.verdict == cert.verdict and fresh.series == cert.series

@@ -29,10 +29,11 @@ nodes side by side in every step.  Exact transport starts no thread, so
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -184,13 +185,8 @@ class FlowMap:
     def velocity_at(self, t: float, coords: np.ndarray, length: float = 1.0) -> np.ndarray:
         """Velocity of the active step at time t, sampled at the coordinates."""
         out = np.zeros_like(np.asarray(coords, dtype=float))
-        starts = self.start_times()
-        if not self.steps or t >= starts[-1]:
-            idx = len(self.steps) - 1
-        else:
-            idx = int(np.searchsorted(np.asarray(starts), t, side="right")) - 1
-        idx = max(0, min(idx, len(self.steps) - 1))
-        step = self.steps[idx]
+        idx = bisect.bisect_right(self.start_times(), t) - 1
+        step = self.steps[max(0, min(idx, len(self.steps) - 1))]
         out[step.axis] = step.speed(coords[step.transverse], length)
         return out
 
@@ -534,20 +530,6 @@ def estimate_mixer_constants(
 
 def protocol_to_json(flow: FlowMap) -> str:
     """Serialize the protocol: seed plus the full step list."""
-    data = {
-        "seed": flow.seed,
-        "steps": [
-            {
-                "axis": s.axis,
-                "transverse": s.transverse,
-                "amplitude": s.amplitude,
-                "phase": s.phase,
-                "duration": s.duration,
-                "profile": s.profile,
-                "banded": s.banded,
-            }
-            for s in flow.steps
-        ],
-    }
+    data = {"seed": flow.seed, "steps": [asdict(step) for step in flow.steps]}
     return json.dumps(data, sort_keys=True)
 

@@ -192,21 +192,18 @@ class ConditionCertificate:
         )
 
 
-def total_loss_schedule(
-    dimension: int = 2, accumulation_point: tuple[float, ...] | None = None
-) -> Schedule:
+def total_loss_schedule(dimension: int = 2) -> Schedule:
     """Schedule destroying all positive fractional orders instantly.
 
-    lam_n = e^-n, tau_n = n^-3, gamma_n = e^-(n^2).
+    lam_n = e^-n, tau_n = n^-3, gamma_n = e^-(n^2); the cubes accumulate
+    at the origin.
     """
-    if accumulation_point is None:
-        accumulation_point = (0.0,) * dimension
     return Schedule(
         lam=ExpPolySeries(1.0, 0.0, (-1.0,)),
         tau=ExpPolySeries(1.0, -3.0, ()),
         gamma=ExpPolySeries(1.0, 0.0, (0.0, -1.0)),
         dimension=dimension,
-        accumulation_point=tuple(accumulation_point),
+        accumulation_point=(0.0,) * dimension,
     )
 
 
@@ -219,7 +216,6 @@ def partial_loss_schedule(
     b: float,
     c: float,
     alpha_margin: float = 2.0,
-    accumulation_point: tuple[float, ...] | None = None,
 ) -> Schedule:
     """Schedule losing the fraction of regularity above mu_bar * sigma.
 
@@ -228,7 +224,8 @@ def partial_loss_schedule(
     n^-2 * exp(alpha*(d/2 - sigma)*T*n), with alpha = alpha_margin times
     the critical rate (r-1)*b/beta.  alpha_margin > 1 makes the velocity
     condition converge with margin; alpha_margin = 1 sits exactly at the
-    critical rate where the loss threshold reaches mu_bar.
+    critical rate where the loss threshold reaches mu_bar.  The cubes
+    accumulate at the origin.
     """
     if r <= 1:
         raise LipschitzEmbeddingError("partial-loss mode needs a derivative order r > 1")
@@ -257,14 +254,12 @@ def partial_loss_schedule(
         rate_b=b,
         rate_c=c,
     )
-    if accumulation_point is None:
-        accumulation_point = (0.0,) * dimension
     return Schedule(
         lam=ExpPolySeries(1.0, 0.0, (-alpha * horizon,)),
         tau=ExpPolySeries(1.0, -1.0, ()),
         gamma=ExpPolySeries(1.0, -2.0, (alpha * (dimension / 2.0 - sigma) * horizon,)),
         dimension=dimension,
-        accumulation_point=tuple(accumulation_point),
+        accumulation_point=(0.0,) * dimension,
         params=params,
     )
 
@@ -442,7 +437,8 @@ def evaluate_truncated_solution(
     taken to unit coordinates and pulled back through the base flow, and
     each value is one sample of the base datum at its exact departure point
     (``mixing.transported_values``).  Overlapping piece supports raise
-    ``GeometryError``.
+    ``GeometryError``; a piece whose rescaled time lies outside the base
+    protocol's span raises ``ValueError`` from ``transported_values``.
     """
     if abs(grid.length - window.side) > 1e-12:
         raise ValueError("window grid must use the window side as its cell length")
@@ -464,12 +460,6 @@ def evaluate_truncated_solution(
     for n in range(1, count + 1):
         lam_n = schedule.lam.term(n)
         center = cubes[n - 1].center
-        local_time = t / schedule.tau.term(n)
-        if local_time > base_flow.total_time + 1e-9:
-            raise ValueError(
-                f"piece {n} needs the base protocol up to time {local_time:.3g}, "
-                f"but it spans only {base_flow.total_time:.3g}"
-            )
         delta = coords - np.reshape(center, (-1,) + (1,) * grid.dimension)
         mask = np.all(np.abs(delta) < 0.5 * lam_n, axis=0)
         if not mask.any():
@@ -478,7 +468,7 @@ def evaluate_truncated_solution(
             raise GeometryError(f"piece {n} overlaps an earlier piece")
         unit = delta[:, mask] / lam_n + half_cell
         out[mask] = schedule.gamma.term(n) * transported_values(
-            base_datum, base_flow, local_time, unit
+            base_datum, base_flow, t / schedule.tau.term(n), unit
         )
         occupied |= mask
     return ScalarField(grid, out)

@@ -81,13 +81,6 @@ def _parseval_scale(grid: Grid) -> float:
     return grid.length ** (grid.dimension / 2.0) / grid.points**grid.dimension
 
 
-def _normalized_coefficients(field: ScalarField) -> np.ndarray:
-    """Fourier coefficients c_k with sum |c_k|^2 = ||f||_{L^2}^2."""
-    c = np.fft.fftn(field.values)
-    c *= _parseval_scale(field.grid)
-    return c
-
-
 def grid_lp_norm(values: np.ndarray, grid: Grid, p: float) -> float:
     """(h^d * sum |v|^p)^(1/p) on the grid nodes."""
     h = grid.spacing
@@ -105,7 +98,9 @@ def hs_norm(field: ScalarField, s: float) -> NormValue:
     nonzero mean returns the distinguished value +inf.
     """
     idx = SobolevIndex(s, 2.0)
-    c = _normalized_coefficients(field)
+    # Fourier coefficients c_k with sum |c_k|^2 = ||f||_{L^2}^2
+    c = np.fft.fftn(field.values)
+    c *= _parseval_scale(field.grid)
     c0 = c[(0,) * field.grid.dimension]
     energy = np.abs(c) ** 2
     del c

@@ -87,11 +87,16 @@ def test_emit_report_deterministic(tmp_path):
 
 
 def test_certificates_revalidate(tmp_path):
-    emit_report(run_experiment(_fast_certify_config()), tmp_path)
-    payload = json.loads((tmp_path / "certificates.json").read_text())
-    assert payload["certificates"]
-    for cert in payload["certificates"]:
-        assert revalidate_certificate(cert)
+    partial = _fast_certify_config(mode="certify-partial", rate_b=0.9, rate_c=1.3)
+    for name, config in (("total", _fast_certify_config()), ("partial", partial)):
+        emit_report(run_experiment(config), tmp_path / name)
+        payload = json.loads((tmp_path / name / "certificates.json").read_text())
+        assert payload["certificates"]
+        for cert in payload["certificates"]:
+            assert revalidate_certificate(cert)
+    # the partial bundle sends B's r, p, b, t and C-hat through revalidation
+    conditions = {cert["condition"] for cert in payload["certificates"]}
+    assert {"B", "C-hat"} <= conditions
 
 
 def test_certificates_json_round_trip(tmp_path):
@@ -253,6 +258,10 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
     still.write_text(json.dumps({"amplitude": 0}))
     no_datum = tmp_path / "no_datum.json"
     no_datum.write_text(json.dumps({"datum_amplitude": 0}))
+    underflow = tmp_path / "underflow.json"
+    underflow.write_text(json.dumps({"datum_amplitude": 1e-300}))
+    creeping = tmp_path / "creeping.json"
+    creeping.write_text(json.dumps({"amplitude": 1e-12}))
     rates = ["--rate-b", "1", "--rate-c", "1"]
     cases = [
         (["sweep", "--config", str(config_path)], "configuration error: rate_b/rate_c"),
@@ -272,6 +281,11 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         (["sweep", "--grid", "64", "--config", str(still)], "configuration error: amplitude"),
         (["sweep", "--grid", "64", "--config", str(no_datum)],
          "configuration error: datum_amplitude"),
+        # a datum whose norms underflow, or a flow too weak to mix it, fails the rate fit
+        (["sweep", "--grid", "64", "--config", str(underflow)],
+         "configuration error: datum_amplitude"),
+        (["sweep", "--grid", "64", "--config", str(creeping)],
+         "configuration error: datum_amplitude/amplitude"),
         (["certify", "--target", "partial", "--rate-b", "-1", "--rate-c", "1"],
          "configuration error: rate_b"),
         (["certify", "--target", "partial", "--rate-b", "1", "--rate-c", "0"],
