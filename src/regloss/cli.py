@@ -79,8 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            data.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config: must hold a JSON object, got {type(loaded).__name__}")
+        data.update(loaded)
     if args.command == "certify":
         data["mode"] = f"certify-{args.target}"
     else:

@@ -58,6 +58,25 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message carries the field path."""
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# annotation of an ExperimentConfig field -> (what a value must be, its check);
+# nothing is coerced, so a valid config keeps its report bytes
+_FIELD_KINDS = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "tuple[float, ...]": (
+        "a list of numbers",
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated description of one experiment run."""
@@ -106,6 +125,11 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            must, check = _FIELD_KINDS[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                raise ConfigError(f"{f.name}: must be {must}, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.dimension < 2:
@@ -168,6 +192,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"solve_times: must be nonempty and nonnegative, got {list(self.solve_times)}"
             )
+        for name in ("s_grid", "t_grid"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: must be nonempty")
         for p in self.integrabilities:
             if not 1.0 < p < math.inf:
                 raise ConfigError(f"integrabilities: each must lie in (1, inf), got {p}")
@@ -180,7 +207,7 @@ class ExperimentConfig:
             raise ConfigError(f"{sorted(unknown)[0]}: unknown configuration field")
         coerced = dict(data)
         for f in fields(cls):
-            if isinstance(f.default, tuple) and coerced.get(f.name) is not None:
+            if isinstance(f.default, tuple) and isinstance(coerced.get(f.name), list):
                 coerced[f.name] = tuple(coerced[f.name])
         return cls(**coerced)
 
@@ -498,6 +525,82 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
+# float.__repr__ of the values JSON spells differently (any NaN prints as "nan")
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, built in one list of parts.
+
+    Types are tried in the stdlib encoder's order (str, None, True, False,
+    int, float, list or tuple, dict), so subclasses such as ``numpy.float64``
+    encode as their base type.  Any other type, and a dict key that is not a
+    str, raises ``TypeError``.  A dict object met again is copied from its
+    first text and re-indented: strings are written escaped to ASCII and never
+    hold a raw newline, so every newline in that text is followed by
+    indentation alone.  Certificates share their schedule's dict, so
+    ``certificates.json`` writes each schedule once.
+    """
+    parts: list[str] = []
+    append = parts.append
+    quote = json.encoder.encode_basestring_ascii
+    written: dict[int, tuple[int, int, int]] = {}  # id -> (level, first part, end part)
+
+    def write(o, level: int) -> None:
+        if isinstance(o, str):
+            append(quote(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, float):
+            text = float.__repr__(o)
+            append(_NONFINITE.get(text, text))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            indent = "\n" + "  " * (level + 1)
+            sep = "[" + indent
+            for item in o:
+                append(sep)
+                sep = "," + indent
+                write(item, level + 1)
+            append("\n" + "  " * level + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            seen = written.get(id(o))
+            if seen is not None:
+                first_level, start, end = seen
+                text = "".join(parts[start:end])
+                if first_level != level:
+                    text = text.replace("\n" + "  " * first_level, "\n" + "  " * level)
+                append(text)
+                return
+            start = len(parts)
+            indent = "\n" + "  " * (level + 1)
+            sep = "{" + indent
+            for key, value in sorted(o.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                append(sep + quote(key) + ": ")
+                sep = "," + indent
+                write(value, level + 1)
+            append("\n" + "  " * level + "}")
+            written[id(o)] = (level, start, len(parts))
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(obj, 0)
+    return "".join(parts)
+
+
 def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
     """Write the bundle's CSV tables, certificates.json and summary.txt; byte-stable."""
     texts = {}
@@ -509,7 +612,7 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
         "config": bundle.config.to_dict(),
         "certificates": [cert.to_dict() for cert in bundle.certificates],
     }
-    texts["certificates.json"] = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    texts["certificates.json"] = _json_text(payload) + "\n"
     texts["summary.txt"] = "\n".join(bundle.summary) + "\n"
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

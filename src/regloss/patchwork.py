@@ -136,15 +136,18 @@ class Schedule:
     def __post_init__(self):
         if len(self.accumulation_point) != self.dimension:
             raise ValueError("accumulation point dimension mismatch")
-
-    def as_dict(self) -> dict:
-        return {
+        # built once: every certificate of this schedule records this one dict
+        object.__setattr__(self, "_dict", {
             "lam": self.lam.as_dict(),
             "tau": self.tau.as_dict(),
             "gamma": self.gamma.as_dict(),
             "dimension": self.dimension,
             "accumulation_point": list(self.accumulation_point),
-        }
+        })
+
+    def as_dict(self) -> dict:
+        """The schedule as a JSON-ready dict, shared by every caller: read-only."""
+        return self._dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
@@ -159,7 +162,12 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ConditionCertificate:
-    """Exact verdict for one condition, with the assembled series recorded."""
+    """Exact verdict for one condition, with the assembled series recorded.
+
+    ``params`` is a read-only record: its ``"schedule"`` entry is the
+    schedule's own shared ``as_dict()``, the same object in every
+    certificate built from that schedule.
+    """
 
     condition: Condition
     verdict: str  # convergent | divergent | bounded | unbounded

@@ -175,7 +175,9 @@ def gagliardo_seminorm(
         for i, c in enumerate(within.center):
             inside &= np.abs(g.min_image(coords[i] - c)) <= within.half + 1e-12
         mask = inside.astype(float)
-    axes = tuple(range(d))
+    # np.roll(a, shift) is the view [M - c, 2M - c) per axis of a tiled twice per axis
+    doubled = np.tile(v, (2,) * d)
+    doubled_mask = None if mask is None else np.tile(mask, (2,) * d)
     sums = []  # (squared distance, summed squared difference) per shift
     for shift in np.ndindex(g.shape):
         if all(c == 0 for c in shift):
@@ -184,10 +186,10 @@ def gagliardo_seminorm(
         for c in shift:
             dc = min(c, g.points - c) * h
             dist2 += dc * dc
-        rolled = np.roll(v, shift, axis=axes)
-        diff2 = (v - rolled) ** 2
+        view = tuple(slice(g.points - c, 2 * g.points - c) for c in shift)
+        diff2 = (v - doubled[view]) ** 2
         if mask is not None:
-            diff2 = diff2 * mask * np.roll(mask, shift, axis=axes)
+            diff2 = diff2 * mask * doubled_mask[view]
         sums.append((dist2, float(diff2.sum())))
     out = []
     for s in orders:

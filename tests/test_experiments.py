@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from regloss import (
@@ -11,6 +12,7 @@ from regloss import (
     revalidate_certificate,
     run_experiment,
 )
+from regloss import experiments
 from regloss.cli import main
 
 
@@ -105,6 +107,63 @@ def test_certificates_json_round_trip(tmp_path):
     parsed = json.loads(text)
     again = json.dumps(parsed, sort_keys=True, indent=2) + "\n"
     assert again == text
+
+
+def _stdlib_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mix", "--grid", "32", "--steps", "4"],
+        ["norms", "--grid", "16"],
+        ["certify", "--target", "total"],
+        ["certify", "--target", "partial", "--rate-b", "0.9", "--rate-c", "1.3"],
+        ["sweep", "--grid", "64"],
+        ["solve", "--grid", "64", "--pieces", "2"],
+    ],
+    ids=["mix", "norms", "certify-total", "certify-partial", "sweep", "solve"],
+)
+def test_json_text_matches_the_stdlib_on_every_mode_bundle(tmp_path, monkeypatch, argv):
+    encode = experiments._json_text
+    payloads = []
+    monkeypatch.setattr(
+        experiments, "_json_text", lambda obj: payloads.append(obj) or encode(obj)
+    )
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    [payload] = payloads
+    assert encode(payload) == _stdlib_text(payload)
+
+
+def test_json_text_matches_the_stdlib_on_edge_values():
+    shared = {"b": [1, {"c": None}], "a": "x\ny"}
+    cases = [
+        {}, [], (), "", 0, None, True, False, 1.5,
+        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324, 0.1],
+        {"t": True, "f": False, "n": None, "i": -3, "big": 2**70},
+        ["\u00e9\u4e2d\U0001f600", "\x00\x1f\t\r\n\"\\/", "\u2028"],
+        {"caf\u00e9": 1, "\n": 2, "": 3},
+        [np.float64(0.1), np.float64(-np.inf), np.float64(np.nan), {"x": np.float64(2.5)}],
+        (1, (2.0, "three"), [None]),
+        # one dict object at two depths, deeper first and then shallower
+        {"a": [[shared]], "b": shared, "c": [shared, {"d": shared}]},
+        [shared, {"deeper": [shared]}],
+    ]
+    for obj in cases:
+        assert experiments._json_text(obj) == _stdlib_text(obj), obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{1: "a"}, {"a": 1, 2: "b"}, {None: 1}, {(1, 2): 3}, {1.5: 1}, {True: 1},
+     {1, 2}, b"bytes", np.int64(3), np.bool_(True), {"a": [object()]}],
+    ids=repr,
+)
+def test_json_text_refuses_unsupported_types_and_keys(obj):
+    with pytest.raises(TypeError):
+        experiments._json_text(obj)
 
 
 def test_empty_bundle_emits_valid_files(tmp_path):
@@ -262,6 +321,21 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
     underflow.write_text(json.dumps({"datum_amplitude": 1e-300}))
     creeping = tmp_path / "creeping.json"
     creeping.write_text(json.dumps({"amplitude": 1e-12}))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"seed": ')
+    refused = {}  # config files whose content validation refuses
+    for name, value in (
+        ("top_level_list", [1, 2]),
+        ("seed", {"seed": 1.5}),
+        ("grid_points", {"grid_points": "64"}),
+        ("orders", {"orders": 0.5}),
+        ("amplitude", {"amplitude": "3"}),
+        ("banded", {"banded": "no"}),
+        ("s_grid", {"s_grid": []}),
+        ("t_grid", {"t_grid": []}),
+    ):
+        refused[name] = tmp_path / f"{name}.json"
+        refused[name].write_text(json.dumps(value))
     rates = ["--rate-b", "1", "--rate-c", "1"]
     cases = [
         (["sweep", "--config", str(config_path)], "configuration error: rate_b/rate_c"),
@@ -290,6 +364,21 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
          "configuration error: rate_b"),
         (["certify", "--target", "partial", "--rate-b", "1", "--rate-c", "0"],
          "configuration error: rate_c"),
+        # config files that cannot be read, or hold something other than an object
+        (["mix", "--config", str(tmp_path / "missing.json")], "configuration error: config"),
+        (["mix", "--config", str(malformed)], "configuration error: config"),
+        (["mix", "--config", str(refused["top_level_list"])], "configuration error: config"),
+        # values of the wrong type are refused, not coerced or run
+        (["mix", "--config", str(refused["seed"])], "configuration error: seed"),
+        (["mix", "--config", str(refused["grid_points"])], "configuration error: grid_points"),
+        (["norms", "--config", str(refused["orders"])], "configuration error: orders"),
+        (["mix", "--grid", "32", "--config", str(refused["amplitude"])],
+         "configuration error: amplitude"),
+        (["mix", "--grid", "32", "--config", str(refused["banded"])],
+         "configuration error: banded"),
+        # an empty certificate sweep
+        (["certify", "--config", str(refused["s_grid"])], "configuration error: s_grid"),
+        (["certify", "--config", str(refused["t_grid"])], "configuration error: t_grid"),
     ]
     for argv, message in cases:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2

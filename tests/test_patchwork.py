@@ -377,6 +377,16 @@ def test_schedule_serialization_round_trip():
     assert again.lam == sch.lam and again.tau == sch.tau and again.gamma == sch.gamma
 
 
+def test_certificates_of_one_schedule_share_its_dict():
+    sch = total_loss_schedule()
+    placement = evaluate_condition(sch, Condition.CUBE_PLACEMENT)
+    blowup = evaluate_condition(sch, Condition.NORM_BLOWUP, s=0.5, t=0.1, c=1.0)
+    shared = sch.as_dict()
+    assert placement.params["schedule"] is shared
+    assert blowup.to_dict()["params"]["schedule"] is shared
+    assert Schedule.from_dict(shared).as_dict() == shared
+
+
 def test_certificate_serialization_round_trip():
     sch = total_loss_schedule()
     cert = evaluate_condition(sch, Condition.NORM_BLOWUP, s=0.5, t=0.1, c=1.0)

@@ -6,9 +6,13 @@ refactor that claims byte-identical reports is checked on every run.
 Floating-point results depend on the numpy and scipy builds; the versions
 the digests were recorded with are asserted first, so a different
 environment fails as such instead of as a changed report.
+
+A case whose arguments name a file in ``CONFIGS`` runs with that config
+written into its directory; those cases hold the benchmark-sized reports.
 """
 
 import hashlib
+import json
 
 import numpy
 import pytest
@@ -17,6 +21,14 @@ import scipy
 from regloss.cli import main
 
 RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+CONFIGS = {
+    "total-40x4.json": {
+        "s_grid": [round(0.02 + 0.024 * k, 4) for k in range(40)],
+        "t_grid": [0.005, 0.37, 1.2, 2.0],
+    },
+    "partial-800.json": {"threshold_samples": 800},
+}
 
 DIGESTS = {
     "mix --grid 32": {
@@ -57,6 +69,17 @@ DIGESTS = {
         "summary.txt": "46658aca844ddd566629904dec99e9e0ba98db8b0b18c0257beee84552730e9e",
         "truncated_solution.csv": "7b0d0781b2f893cb18a49c2fc6549626342c139a067c428fe3374498158844d5",
     },
+    "certify --target total --config total-40x4.json": {
+        "blowup_sweep_d2.csv": "aab3b837441f0562cf51e46d83c401caaded1478314607c55ea730648200761d",
+        "blowup_sweep_d3.csv": "b51cdb6f7ec08148384864dc01f5e4e61cdccec2e7c6061eab6cdadc5b23aa10",
+        "certificates.json": "b177b82b63b9d1e29fff2e3f88b484b3068dc5eca2a3fdf97d12635eae75001e",
+        "summary.txt": "e61ef0197ddcefc6ba11f4a5b74847d85277c3a6c5006f7651afffdd0d6dfe26",
+    },
+    "certify --target partial --rate-b 0.9 --rate-c 1.3 --config partial-800.json": {
+        "certificates.json": "ffcebaac3ca466f8cade34194cfef262c63b6b15a351c1c51e39e6c2f68e529c",
+        "loss_threshold.csv": "98d49a5a0dd027e98691537f7609dca2b30f056dc5d159c6fd5a95b20b6f2f35",
+        "summary.txt": "6cd4c3e2177e98b4344c9a58f6602962e87475bcbecd5c110563a6f83bbc32e6",
+    },
 }
 
 
@@ -64,7 +87,10 @@ DIGESTS = {
 def test_report_digests(case, tmp_path):
     running = {"numpy": numpy.__version__, "scipy": scipy.__version__}
     assert running == RECORDED_VERSIONS, "digests were recorded with other numpy/scipy builds"
+    for name, config in CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
+    argv = [str(tmp_path / arg) if arg in CONFIGS else arg for arg in case.split()]
     out = tmp_path / "out"
-    assert main([*case.split(), "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert digests == DIGESTS[case]

@@ -180,19 +180,70 @@ def test_gagliardo_one_call_equals_one_call_per_order():
 
 def test_gagliardo_walks_the_shifts_once_for_every_order(monkeypatch):
     b = make_bump(Grid(2, 16), (0.5, 0.5), 0.25, 1.0)
-    roll = np.roll
-    rolls = []
+    ndindex, tile = np.ndindex, np.tile
+    shifts, tiles = [], []
 
-    def counting_roll(*args, **kwargs):
-        rolls.append(args)
-        return roll(*args, **kwargs)
+    def counting_ndindex(*args):
+        for shift in ndindex(*args):
+            shifts.append(shift)
+            yield shift
 
-    monkeypatch.setattr(np, "roll", counting_roll)
+    def counting_tile(*args, **kwargs):
+        tiles.append(args)
+        return tile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ndindex", counting_ndindex)
+    monkeypatch.setattr(np, "tile", counting_tile)
     gagliardo_seminorm(b, GOLDEN_ORDERS)
-    assert len(rolls) == 16 * 16 - 1  # one roll per nonzero shift, not one per shift and order
-    rolls.clear()
+    assert len(shifts) == 16 * 16  # one walk over the shifts, not one per order
+    assert len(tiles) == 1  # the values, tiled once
+    shifts.clear()
+    tiles.clear()
     gagliardo_seminorm(b, GOLDEN_ORDERS, within=EDGE_WINDOW)
-    assert len(rolls) == 2 * (16 * 16 - 1)  # the values and the window mask
+    assert len(shifts) == 16 * 16
+    assert len(tiles) == 2  # the values and the window mask
+
+
+def _rolled_gagliardo(field, orders, mask=None):
+    """The double sum with two np.roll copies per shift, the formula the views replace."""
+    g = field.grid
+    d, h, v = g.dimension, g.spacing, field.values
+    axes = tuple(range(d))
+    sums = []
+    for shift in np.ndindex(g.shape):
+        if not any(shift):
+            continue
+        dist2 = 0.0
+        for c in shift:
+            dc = min(c, g.points - c) * h
+            dist2 += dc * dc
+        diff2 = (v - np.roll(v, shift, axis=axes)) ** 2
+        if mask is not None:
+            diff2 = diff2 * mask * np.roll(mask, shift, axis=axes)
+        sums.append((dist2, float(diff2.sum())))
+    out = []
+    for s in orders:
+        total = 0.0
+        for dist2, sq in sums:
+            total += dist2 ** (-0.5 * (d + 2.0 * s)) * sq
+        out.append(math.sqrt(total * h ** (2 * d)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "d, points, window",
+    [(2, 16, EDGE_WINDOW), (2, 32, Cube((0.4, 0.55), 0.5)), (3, 8, Cube((0.9, 0.5, 0.1), 0.5))],
+)
+def test_gagliardo_shifted_views_equal_the_rolled_copies(d, points, window):
+    b = make_bump(Grid(d, points), (0.8,) + (0.3,) * (d - 1), 0.3, 1.0)
+    g = b.grid
+    coords = g.coordinates()
+    inside = np.ones(g.shape, dtype=bool)
+    for i, c in enumerate(window.center):
+        inside &= np.abs(g.min_image(coords[i] - c)) <= window.half + 1e-12
+    for within, mask in ((None, None), (window, inside.astype(float))):
+        got = [nv.value for nv in gagliardo_seminorm(b, GOLDEN_ORDERS, within=within)]
+        assert got == _rolled_gagliardo(b, GOLDEN_ORDERS, mask)
 
 
 def test_gagliardo_multiplier_ratio_constant_at_half(bump_corpus):
