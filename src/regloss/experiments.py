@@ -59,7 +59,7 @@ class ConfigError(ValueError):
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 # annotation of an ExperimentConfig field -> (what a value must be, its check);
@@ -68,10 +68,10 @@ _FIELD_KINDS = {
     "str": ("a string", lambda v: isinstance(v, str)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a number", _is_number),
-    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "float": ("a finite number", _is_number),
+    "float | None": ("a finite number or null", lambda v: v is None or _is_number(v)),
     "tuple[float, ...]": (
-        "a list of numbers",
+        "a list of finite numbers",
         lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
     ),
 }
@@ -195,6 +195,12 @@ class ExperimentConfig:
         for name in ("s_grid", "t_grid"):
             if not getattr(self, name):
                 raise ConfigError(f"{name}: must be nonempty")
+        for s in self.s_grid:
+            if not 0.0 < s < 1.0:
+                raise ConfigError(f"s_grid: each must lie in (0, 1), got {s}")
+        for t in self.t_grid:
+            if not t > 0:
+                raise ConfigError(f"t_grid: each must be positive, got {t}")
         for p in self.integrabilities:
             if not 1.0 < p < math.inf:
                 raise ConfigError(f"integrabilities: each must lie in (1, inf), got {p}")

@@ -9,7 +9,8 @@ requested points (the grid nodes, or any points) and interpolating the
 initial datum once with a periodic quintic spline: there is no
 time-stepping error, only one interpolation of the (smooth) initial data.
 ``_prefilter`` then ``_sample`` is the package's only interpolation route,
-for exact transport and for the semi-Lagrangian step alike.
+for exact transport and for the semi-Lagrangian step alike; the step runs
+the prefilter's 1-D passes on two threads (``_prefilter_halves``).
 
 A generic semi-Lagrangian solver (backward RK4 tracing plus per-step
 resampling) is provided for velocity fields without exact characteristics.
@@ -22,9 +23,11 @@ envelope) and recorded.  The growth rate b is assumed, not measured:
 Two routes use a second core, each with the calling thread and one worker
 thread, and each gives results identical to a serial loop:
 ``norm_history`` measures the sampled states two at a time, and
-``advect_semi_lagrangian`` traces and samples the two halves of the grid
-nodes side by side in every step.  Exact transport starts no thread, so
-``norm_history`` never nests one pool inside the other.
+``advect_semi_lagrangian`` prefilters, traces and samples the two halves
+of the grid nodes side by side.  It traces a ``FlowMap`` once for each run
+of steps with the same active shear steps, and a callable in every step.
+Exact transport starts no thread, so ``norm_history`` never nests one pool
+inside the other.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.ndimage import map_coordinates, spline_filter
+from scipy.ndimage import map_coordinates, spline_filter, spline_filter1d
 
 from .fields import Grid, ScalarField, VectorField, demean, radial_cutoff
 from .sobolev import NormValue, hs_norm, wsp_norm
@@ -182,11 +185,15 @@ class FlowMap:
         np.mod(x, length, out=x)
         return x
 
+    def step_index(self, t: float) -> int:
+        """Index of the step active at time t: the last one starting at or before t, clamped."""
+        idx = bisect.bisect_right(self.start_times(), t) - 1
+        return max(0, min(idx, len(self.steps) - 1))
+
     def velocity_at(self, t: float, coords: np.ndarray, length: float = 1.0) -> np.ndarray:
         """Velocity of the active step at time t, sampled at the coordinates."""
         out = np.zeros_like(np.asarray(coords, dtype=float))
-        idx = bisect.bisect_right(self.start_times(), t) - 1
-        step = self.steps[max(0, min(idx, len(self.steps) - 1))]
+        step = self.steps[self.step_index(t)]
         out[step.axis] = step.speed(coords[step.transverse], length)
         return out
 
@@ -245,12 +252,44 @@ def _prefilter(values: np.ndarray) -> np.ndarray:
     return spline_filter(values, INTERPOLATION_ORDER, mode="grid-wrap")
 
 
-def _sample(coefficients: np.ndarray, points: np.ndarray, spacing: float) -> np.ndarray:
-    """Quintic spline of ``_prefilter`` coefficients at the points, which it scales in place."""
-    points /= spacing
+def _sample(
+    coefficients: np.ndarray, points: np.ndarray, output: np.ndarray | None = None
+) -> np.ndarray:
+    """Quintic spline of ``_prefilter`` coefficients at points given in grid units (x / h)."""
     return map_coordinates(
-        coefficients, points, order=INTERPOLATION_ORDER, mode="grid-wrap", prefilter=False
+        coefficients, points, order=INTERPOLATION_ORDER, mode="grid-wrap", prefilter=False,
+        output=output,
     )
+
+
+def _both(pool: ThreadPoolExecutor, task: Callable, lower: tuple, upper: tuple) -> tuple:
+    """``task(*lower)`` on the calling thread beside ``task(*upper)`` on the pool's worker."""
+    other = pool.submit(task, *upper)
+    return task(*lower), other.result()
+
+
+def _filter_along(axes: Sequence[int], source: np.ndarray, target: np.ndarray) -> None:
+    """Quintic spline passes along the axes in order: source into target, then in place."""
+    for axis in axes:
+        spline_filter1d(source, INTERPOLATION_ORDER, axis, output=target, mode="grid-wrap")
+        source = target
+
+
+def _prefilter_halves(pool: ThreadPoolExecutor, values: np.ndarray, out: np.ndarray) -> None:
+    """``_prefilter`` of the values into ``out``, on the caller and the pool's worker.
+
+    Axis 0 is filtered on the two halves split along axis 1, then axes
+    1, ..., d-1 on the two halves split along axis 0: the 1-D passes of
+    ``spline_filter`` in its order, so the coefficients are identical.
+    """
+    if values.ndim == 1:
+        _filter_along((0,), values, out)
+        return
+    half = len(values) // 2
+    _both(pool, _filter_along, ((0,), values[:, :half], out[:, :half]),
+          ((0,), values[:, half:], out[:, half:]))
+    rest = range(1, values.ndim)
+    _both(pool, _filter_along, (rest, out[:half], out[:half]), (rest, out[half:], out[half:]))
 
 
 def _departure_points(flow: FlowMap, t: float, points: np.ndarray, length: float) -> np.ndarray:
@@ -269,7 +308,8 @@ def transported_values(
     """
     grid = rho0.grid
     departure = _departure_points(flow, t, points, grid.length)
-    return _sample(_prefilter(rho0.values), departure, grid.spacing)
+    departure /= grid.spacing
+    return _sample(_prefilter(rho0.values), departure)
 
 
 def exact_solution_at(rho0: ScalarField, flow: FlowMap, t: float) -> ScalarField:
@@ -289,7 +329,8 @@ def exact_solution_at(rho0: ScalarField, flow: FlowMap, t: float) -> ScalarField
     if np.array_equal(departure, nodes):
         return rho0
     del nodes
-    return ScalarField(grid, _sample(_prefilter(rho0.values), departure, grid.spacing))
+    departure /= grid.spacing
+    return ScalarField(grid, _sample(_prefilter(rho0.values), departure))
 
 
 def advect_semi_lagrangian(
@@ -304,55 +345,64 @@ def advect_semi_lagrangian(
     including fields without exact characteristics.  Requires CFL number
     dt * max|u| / h <= 1, checked over every node before a step samples.
 
-    The nodes are split into two halves along grid axis 0: in each step
+    A ``FlowMap``'s trace depends on the step time t1 only through its
+    active steps at t1, t1 - dt/2 and t1 - dt, so while that triple
+    repeats the previous trace (its largest speed, whether it moves any
+    node, and its departure points) is reused; a callable is traced in
+    every step.  The nodes are split into two halves along grid axis 0:
     the calling thread traces and samples one half and one worker thread
-    the other, so the velocity and spline kernels, which release the
+    the other, and the spline prefilter runs its 1-D passes on two halves
+    too, so the velocity and spline kernels, which release the
     interpreter lock, run on two cores.  Every node takes the same
     arithmetic as in a serial loop, so the result is identical to it.
     """
     if not dt > 0 or steps < 0:
         raise ValueError("dt must be positive and steps nonnegative")
     grid = rho0.grid
-    if isinstance(velocity, FlowMap):
-        flow = velocity
-        vel = lambda t, c: flow.velocity_at(t, c, grid.length)
-    else:
-        vel = velocity
+    h, length = grid.spacing, grid.length
+    flow = velocity if isinstance(velocity, FlowMap) else None
+    vel = velocity if flow is None else lambda t, c: flow.velocity_at(t, c, length)
     # each thread's half of the nodes, contiguous in memory
     lower, upper = (part.copy() for part in np.split(grid.coordinates(), 2, axis=1))
-    values = rho0.values
-    h = grid.spacing
+    half = grid.points // 2
 
-    def depart(nodes: np.ndarray, t1: float) -> tuple[float, np.ndarray]:
-        """Largest speed at t1 over the nodes and their RK4 departure points."""
+    def trace(nodes: np.ndarray, t1: float) -> tuple[float, bool, np.ndarray]:
+        """Largest speed at t1, whether no node moves, and the RK4 departure points / h."""
         k1 = vel(t1, nodes)
         k2 = vel(t1 - 0.5 * dt, nodes - 0.5 * dt * k1)
         k3 = vel(t1 - 0.5 * dt, nodes - 0.5 * dt * k2)
         k4 = vel(t1 - dt, nodes - dt * k3)
         departure = nodes - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return float(np.max(np.abs(k1))), departure
+        still = np.array_equal(departure, nodes)
+        np.mod(departure, length, out=departure)
+        departure /= h
+        return float(np.max(np.abs(k1))), still, departure
 
-    def resample(coefficients: np.ndarray, departure: np.ndarray) -> np.ndarray:
-        return _sample(coefficients, np.mod(departure, grid.length), h)
-
+    values = rho0.values
+    # the coefficients and the new state, reused by every step
+    coefficients, state = np.empty(grid.shape), np.empty(grid.shape)
+    active = window = traced = None
     pool = ThreadPoolExecutor(1)
     try:
         for m in range(steps):
             t1 = (m + 1) * dt
-            traced = pool.submit(depart, upper, t1)
-            speed, lower_departure = depart(lower, t1)
-            upper_speed, upper_departure = traced.result()
-            speed = max(speed, upper_speed)
+            if flow is not None:
+                active = tuple(flow.step_index(t) for t in (t1, t1 - 0.5 * dt, t1 - dt))
+            if flow is None or active != window:
+                traced = _both(pool, trace, (lower, t1), (upper, t1))
+                window = active
+            speeds, still, points = zip(*traced)
+            speed = max(speeds)
             if dt * speed / h > 1.0 + 1e-9:
                 raise CFLError(
                     f"CFL number {dt * speed / h:.3f} exceeds 1; reduce dt below {h / speed:.3e}"
                 )
-            if np.array_equal(lower_departure, lower) and np.array_equal(upper_departure, upper):
+            if all(still):
                 continue
-            coefficients = _prefilter(values)
-            sampled = pool.submit(resample, coefficients, upper_departure)
-            lower_values = resample(coefficients, lower_departure)
-            values = np.concatenate((lower_values, sampled.result()))
+            _prefilter_halves(pool, values, coefficients)
+            _both(pool, _sample, (coefficients, points[0], state[:half]),
+                  (coefficients, points[1], state[half:]))
+            values = state
     finally:
         pool.shutdown(cancel_futures=True)
     return ScalarField(grid, values)

@@ -333,6 +333,13 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         ("banded", {"banded": "no"}),
         ("s_grid", {"s_grid": []}),
         ("t_grid", {"t_grid": []}),
+        # non-finite numbers and orders or times out of range
+        ("nan_duration", {"step_duration": math.nan}),
+        ("inf_amplitude", {"amplitude": math.inf}),
+        ("inf_horizon", {"horizon": math.inf}),
+        ("nan_order", {"s_grid": [math.nan]}),
+        ("order_above_one", {"s_grid": [1.5]}),
+        ("negative_time", {"t_grid": [-1.0]}),
     ):
         refused[name] = tmp_path / f"{name}.json"
         refused[name].write_text(json.dumps(value))
@@ -379,6 +386,14 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         # an empty certificate sweep
         (["certify", "--config", str(refused["s_grid"])], "configuration error: s_grid"),
         (["certify", "--config", str(refused["t_grid"])], "configuration error: t_grid"),
+        (["mix", "--grid", "32", "--config", str(refused["nan_duration"])],
+         "configuration error: step_duration"),
+        (["mix", "--grid", "32", "--config", str(refused["inf_amplitude"])],
+         "configuration error: amplitude"),
+        (["certify", "--config", str(refused["inf_horizon"])], "configuration error: horizon"),
+        (["certify", "--config", str(refused["nan_order"])], "configuration error: s_grid"),
+        (["certify", "--config", str(refused["order_above_one"])], "configuration error: s_grid"),
+        (["certify", "--config", str(refused["negative_time"])], "configuration error: t_grid"),
     ]
     for argv, message in cases:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2

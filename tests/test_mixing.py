@@ -1,10 +1,11 @@
 import math
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, spline_filter
 
 from regloss import (
     CFLError,
@@ -28,7 +29,7 @@ from regloss import (
     transported_values,
     velocity_norm_series,
 )
-from regloss.mixing import PROFILES, protocol_to_json
+from regloss.mixing import PROFILES, _prefilter_halves, protocol_to_json
 
 
 def test_single_step_protocol():
@@ -229,21 +230,31 @@ def _swirl(t, c):
     return np.stack([0.6 * np.sin(y) * math.cos(t), 0.4 * np.sin(x + t)])
 
 
+# (total time, step duration, amplitude) of the seeded protocol
+PROTOCOLS = {"flow": (0.25, 0.125, 1.2), "slow-flow": (1.0, 0.125, 0.5)}
+
+
 @pytest.mark.parametrize(
     "dimension, points, kind, dt, steps",
     [
         (2, 64, "flow", 0.01, 20),  # crosses the step boundary at t = 0.125
         (2, 64, "callable", 0.01, 12),
         (3, 16, "flow", 0.02, 9),  # banded, crosses a step boundary
+        # 7 boundaries, and dt does not divide the step duration
+        (2, 64, "slow-flow", 0.03, 30),
+        (3, 16, "slow-flow", 0.03, 30),  # banded
     ],
 )
 def test_semi_lagrangian_is_identical_to_a_serial_rk4_loop(dimension, points, kind, dt, steps):
     g = Grid(dimension, points)
     center = (0.45, 0.55, 0.5)[:dimension]
     datum = demean(make_bump(g, center, 0.2, 1.0))
-    if kind == "flow":
-        flow = build_mixing_protocol(3, 0.25, 0.125, 1.2, dimension=dimension, banded=dimension == 3)
-        assert dt * steps > flow.steps[0].duration
+    if kind in PROTOCOLS:
+        total, duration, amplitude = PROTOCOLS[kind]
+        flow = build_mixing_protocol(
+            3, total, duration, amplitude, dimension=dimension, banded=dimension == 3
+        )
+        assert flow.step_index(dt * steps) == math.floor(dt * steps / duration) >= 1
         velocity = flow
         serial_velocity = lambda t, c: flow.velocity_at(t, c, g.length)
     else:
@@ -253,6 +264,41 @@ def test_semi_lagrangian_is_identical_to_a_serial_rk4_loop(dimension, points, ki
     assert out.values.shape == g.shape
     assert out.values.tobytes() == expected.tobytes()
     assert not np.array_equal(out.values, datum.values)
+
+
+@pytest.mark.parametrize("steps", [1, 5, 40])
+def test_semi_lagrangian_traces_a_flow_once_per_steady_window(steps, monkeypatch):
+    g = Grid(2, 32)
+    datum = demean(make_bump(g, (0.5, 0.5), 0.2, 1.0))
+    flow = build_mixing_protocol(3, 0.25, 0.125, 1.2)
+    dt = 0.0025  # 40 steps stay inside the first shear step
+    calls = []
+    velocity_at = FlowMap.velocity_at
+
+    def counted(self, t, coords, length=1.0):
+        calls.append(t)
+        return velocity_at(self, t, coords, length)
+
+    monkeypatch.setattr(FlowMap, "velocity_at", counted)
+    advect_semi_lagrangian(datum, flow, dt, steps)
+    assert len(calls) == 8  # four RK4 stages on each half of the nodes
+
+    def swirl(t, c):
+        calls.append(t)
+        return _swirl(t, c)
+
+    calls.clear()
+    advect_semi_lagrangian(datum, swirl, dt, steps)
+    assert len(calls) == 8 * steps
+
+
+@pytest.mark.parametrize("dimension, points", [(2, 4), (2, 64), (3, 8)])
+def test_prefilter_on_two_threads_equals_spline_filter(dimension, points):
+    values = np.random.default_rng(points).standard_normal((points,) * dimension)
+    out = np.empty_like(values)
+    with ThreadPoolExecutor(1) as pool:
+        _prefilter_halves(pool, values, out)
+    assert out.tobytes() == spline_filter(values, 5, mode="grid-wrap").tobytes()
 
 
 def test_velocity_norm_series_constant_across_steps():
