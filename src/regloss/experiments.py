@@ -389,8 +389,9 @@ def _certify_partial(config: ExperimentConfig, bundle: ReportBundle) -> None:
         alpha_margin=config.alpha_margin,
     )
     params = schedule.params
+    assumed = " (the measured c, assumed)" if config.rate_b is None else ""
     bundle.note(
-        f"rates: b={b:.6g} c={c:.6g} (seed {config.seed}); "
+        f"rates: b={b:.6g}{assumed} c={c:.6g} (seed {config.seed}); "
         f"beta={params.beta:.6g} alpha={params.alpha:.6g} (margin {config.alpha_margin:g}); "
         f"loss threshold mu_bar={params.mu_bar:.6g}, schedule-effective {params.mu_effective:.6g}"
     )
@@ -531,82 +532,6 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
-# float.__repr__ of the values JSON spells differently (any NaN prints as "nan")
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, built in one list of parts.
-
-    Types are tried in the stdlib encoder's order (str, None, True, False,
-    int, float, list or tuple, dict), so subclasses such as ``numpy.float64``
-    encode as their base type.  Any other type, and a dict key that is not a
-    str, raises ``TypeError``.  A dict object met again is copied from its
-    first text and re-indented: strings are written escaped to ASCII and never
-    hold a raw newline, so every newline in that text is followed by
-    indentation alone.  Certificates share their schedule's dict, so
-    ``certificates.json`` writes each schedule once.
-    """
-    parts: list[str] = []
-    append = parts.append
-    quote = json.encoder.encode_basestring_ascii
-    written: dict[int, tuple[int, int, int]] = {}  # id -> (level, first part, end part)
-
-    def write(o, level: int) -> None:
-        if isinstance(o, str):
-            append(quote(o))
-        elif o is None:
-            append("null")
-        elif o is True:
-            append("true")
-        elif o is False:
-            append("false")
-        elif isinstance(o, int):
-            append(int.__repr__(o))
-        elif isinstance(o, float):
-            text = float.__repr__(o)
-            append(_NONFINITE.get(text, text))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                append("[]")
-                return
-            indent = "\n" + "  " * (level + 1)
-            sep = "[" + indent
-            for item in o:
-                append(sep)
-                sep = "," + indent
-                write(item, level + 1)
-            append("\n" + "  " * level + "]")
-        elif isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            seen = written.get(id(o))
-            if seen is not None:
-                first_level, start, end = seen
-                text = "".join(parts[start:end])
-                if first_level != level:
-                    text = text.replace("\n" + "  " * first_level, "\n" + "  " * level)
-                append(text)
-                return
-            start = len(parts)
-            indent = "\n" + "  " * (level + 1)
-            sep = "{" + indent
-            for key, value in sorted(o.items()):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                append(sep + quote(key) + ": ")
-                sep = "," + indent
-                write(value, level + 1)
-            append("\n" + "  " * level + "}")
-            written[id(o)] = (level, start, len(parts))
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    write(obj, 0)
-    return "".join(parts)
-
-
 def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
     """Write the bundle's CSV tables, certificates.json and summary.txt; byte-stable."""
     texts = {}
@@ -618,7 +543,7 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
         "config": bundle.config.to_dict(),
         "certificates": [cert.to_dict() for cert in bundle.certificates],
     }
-    texts["certificates.json"] = _json_text(payload) + "\n"
+    texts["certificates.json"] = json.dumps(payload, sort_keys=True) + "\n"
     texts["summary.txt"] = "\n".join(bundle.summary) + "\n"
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -458,7 +458,7 @@ def gronwall_lower_bound(l2: float, neg_norm: float) -> float:
     """Interpolation-driven bound ||f||_{H^s} >= ||f||_{L^2}^2 / ||f||_{H^-s}."""
     if not neg_norm > 0:
         raise ValueError(f"negative-order norm must be positive, got {neg_norm}")
-    return l2 * l2 / neg_norm
+    return l2**2 / neg_norm
 
 
 @dataclass(frozen=True)
@@ -492,7 +492,7 @@ class MixerConstants:
 
     def lower_prefactor(self, s: float) -> float:
         """Prefactor of the exp(s*c*t) growth bound at order s."""
-        return self.l2_norm**2 / self.decay_prefactors[s]
+        return gronwall_lower_bound(self.l2_norm, self.decay_prefactors[s])
 
 
 def norm_history(

@@ -136,7 +136,8 @@ class Schedule:
     def __post_init__(self):
         if len(self.accumulation_point) != self.dimension:
             raise ValueError("accumulation point dimension mismatch")
-        # built once: every certificate of this schedule records this one dict
+        # built once per schedule, not per certificate, to save run time:
+        # every certificate of this schedule records this one dict
         object.__setattr__(self, "_dict", {
             "lam": self.lam.as_dict(),
             "tau": self.tau.as_dict(),
@@ -165,8 +166,8 @@ class ConditionCertificate:
     """Exact verdict for one condition, with the assembled series recorded.
 
     ``params`` is a read-only record: its ``"schedule"`` entry is the
-    schedule's own shared ``as_dict()``, the same object in every
-    certificate built from that schedule.
+    schedule's own ``as_dict()``, built once per schedule to save run time
+    and shared by every certificate built from that schedule.
     """
 
     condition: Condition

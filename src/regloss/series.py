@@ -167,12 +167,12 @@ def classify_bounded(series: ExpPolySeries) -> Classification:
     return Classification("bounded", f"power {series.power:g} <= 0")
 
 
-def _running_sums(terms: Iterable[float], every: bool = True) -> Iterator[float]:
+def _running_sums(terms: Iterable[float]) -> Iterator[float]:
     """Running sums by the rule of ``partial_sums``, ending with the first infinite one.
 
     The exact sum is kept as Shewchuk's nonoverlapping partials, whose count
     stays bounded, so each step costs O(1).  ``math.fsum`` rounds them after
-    every term, or, with ``every`` false, once after the last term.
+    every term.
     """
     partials: list[float] = []
     for x in terms:
@@ -190,9 +190,6 @@ def _running_sums(terms: Iterable[float], every: bool = True) -> Iterator[float]
             yield x
             return
         partials[i:] = [x]
-        if every:
-            yield math.fsum(partials)
-    if not every:
         yield math.fsum(partials)
 
 
@@ -234,8 +231,8 @@ def partial_sums(
 
 
 def partial_sum(series: ExpPolySeries, upto: int) -> float:
-    """Sum of terms from start through ``upto``, rounded once: the last of ``partial_sums``."""
-    return next(_running_sums(_terms(series, upto), every=False))
+    """Sum of terms from start through ``upto``: the last of ``partial_sums``."""
+    return partial_sums(series, upto)[-1]
 
 
 def product_and_power(series: list[ExpPolySeries], exponents: list[float]) -> ExpPolySeries:

@@ -32,51 +32,51 @@ CONFIGS = {
 
 DIGESTS = {
     "mix --grid 32": {
-        "certificates.json": "a78f10a40deeb507f1845138856cc2cceae96ac0f65e649e5f8a0f4da8508840",
+        "certificates.json": "2e3e7102c2738bb245358014658678169c9fce4ae8a1c54b58291e3b919e8a76",
         "norms.csv": "bb7a8be07a99b5701f650a4ab8a6fc77d1cc9dd0e6eaa96efbcd5337aeb1dedf",
         "rates.csv": "fb7d4b819c909433c147f44f89702b7158e313a5e0bf2e8794b137a5907b61ac",
         "summary.txt": "efc2966917682f3f9c8ea7cd20b49c77ae849df5e0af05ad19ab6a9796ebec33",
     },
     "norms --grid 32": {
-        "certificates.json": "3a0e093d52d328e4174015cd16d7e529c51a573135defd987526269b35c15eed",
+        "certificates.json": "11dde8c375262847c8bece0e9dc46c92841c76ed998429bdf73dffb5615d4942",
         "norm_table.csv": "53aa7f450c87e84334594cbb6d3cbd74c9cfddceb705739e6e80107e9e388bf1",
         "summary.txt": "d38774526cb5058bdda3e90f0f0bd194f4fc54d96cade62e9eb6f5341091c10f",
     },
     "certify --target total": {
         "blowup_sweep_d2.csv": "b57de4c39516c574c5f4e44704df7ab237cc5aa0791e615092035cc313376ed9",
         "blowup_sweep_d3.csv": "f578a7544325dbce6298994f938916d08b0ccf09d6398c620303e93ecc6ddaf1",
-        "certificates.json": "8b79b6eec37f2ea481a64b0b7c2cf27a7945792d7f13b14383c0b926858f79b3",
+        "certificates.json": "036098ce9f37ad46ea8c5d81cb2aa7e3d0866a8381efcbf863e5ec91802bffc5",
         "summary.txt": "015aaff1f1421fead384c7d2cde1f5dab13861c9c5f168251cb8324c2c69039e",
     },
     "certify --target partial --rate-b 0.9 --rate-c 1.3": {
-        "certificates.json": "99a7b3515a3c8e0c9ffa4a08720579ede9ee6efe196e361611e831be8fbac0d5",
+        "certificates.json": "0b149d22d2582d6e35a4a56acb5a5c98b8eb8124d9360778629caaf0cfa26a0f",
         "loss_threshold.csv": "30e3cea8bda5896132079cc506f07bdd3023b9a3435beb95ef1c3fdaceb25015",
         "summary.txt": "1023b6a6be6a57edbe16ca764e1c21c745d84cef37522a1a01dee39ee33ee71a",
     },
     "certify --target partial --grid 64": {
-        "certificates.json": "e6067d4baadbf21f365dedd716a98b9591a27441a1026207dcd83a47bf1f4db9",
+        "certificates.json": "be822548e27f816c29f79c0c8391fbf236002efcf823272fa53783dcbbf2bb16",
         "loss_threshold.csv": "f1ab44d88691dcc63eb00572fe27ab71981affb8cf5884048547789c4a2d064d",
-        "summary.txt": "ed2a045f983445531002e43f4ff1c33da1c71439b914e68bb6d4bcbb23334cc8",
+        "summary.txt": "2c6c96fb37595ba86c5674c9383e8f1cda5241f07344c6949d371c3a8a658b6d",
     },
     "sweep --grid 64": {
-        "certificates.json": "18a5ea0ac04218980242a8fb8f8af5a941ecf2e1fefdfe2194e914b689f5c328",
+        "certificates.json": "45346809faed0036287870d705593d85545fc320de3c6ddeb9223d6561544f03",
         "lower_bound.csv": "dbc5615bd2c3c01509822784ec6cb95dad1274c59b8c65932ccd4cc72234d6ef",
         "lower_bound_t0.csv": "414a23e7bdad77c05d89304935ade697f61dbcdc6692d3209173eeeb8d6a9b81",
         "summary.txt": "4a010dba20d601685c75b38e39cada199eee126088866bddcaf45df1c485faa4",
     },
     "solve --grid 64 --pieces 2": {
-        "certificates.json": "afc4bd0af696367bb4f84af6f6d47a3bc24dfeaf5a4ddde4ee910b7a04f90da4",
+        "certificates.json": "f7c922d03db7b2be9d8315204194d53378a79c4329440941ca33e6c1a69c65f0",
         "summary.txt": "46658aca844ddd566629904dec99e9e0ba98db8b0b18c0257beee84552730e9e",
         "truncated_solution.csv": "7b0d0781b2f893cb18a49c2fc6549626342c139a067c428fe3374498158844d5",
     },
     "certify --target total --config total-40x4.json": {
         "blowup_sweep_d2.csv": "aab3b837441f0562cf51e46d83c401caaded1478314607c55ea730648200761d",
         "blowup_sweep_d3.csv": "b51cdb6f7ec08148384864dc01f5e4e61cdccec2e7c6061eab6cdadc5b23aa10",
-        "certificates.json": "b177b82b63b9d1e29fff2e3f88b484b3068dc5eca2a3fdf97d12635eae75001e",
+        "certificates.json": "2335f43fcaf329df337735731bb50de3ca706db52a4c6eb96c15c1fdc575b136",
         "summary.txt": "e61ef0197ddcefc6ba11f4a5b74847d85277c3a6c5006f7651afffdd0d6dfe26",
     },
     "certify --target partial --rate-b 0.9 --rate-c 1.3 --config partial-800.json": {
-        "certificates.json": "ffcebaac3ca466f8cade34194cfef262c63b6b15a351c1c51e39e6c2f68e529c",
+        "certificates.json": "2ce1c36ab83ac28a319138bbf82c581237695a248220616c2fe4e912cca113f9",
         "loss_threshold.csv": "98d49a5a0dd027e98691537f7609dca2b30f056dc5d159c6fd5a95b20b6f2f35",
         "summary.txt": "6cd4c3e2177e98b4344c9a58f6602962e87475bcbecd5c110563a6f83bbc32e6",
     },
