@@ -58,7 +58,6 @@ from .patchwork import (
     total_loss_schedule,
 )
 from .series import (
-    AlignmentError,
     Classification,
     ExpPolySeries,
     classify,

@@ -164,18 +164,21 @@ class ExperimentConfig:
             for name in ("amplitude", "datum_amplitude"):
                 if getattr(self, name) == 0:
                     raise ConfigError(f"{name}: measured rates need a nonzero value, got 0")
+        for name, least in (
+            ("construction_dimension", 2), ("threshold_samples", 1),
+            ("sweep_max_terms", 1), ("pieces", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name}: must be >= {least}, got {getattr(self, name)}")
         if self.mode == "certify-partial":
             if self.r <= 1:
                 raise ConfigError(f"r: partial-loss mode needs r > 1, got {self.r}")
-            if not self.p < self.construction_dimension / (self.r - 1):
+            # W^{r,p} needs p >= 1, and p < d/(r-1) keeps it out of Lipschitz
+            if not 1 <= self.p < self.construction_dimension / (self.r - 1):
                 raise ConfigError(
-                    f"p: must be < d/(r-1) = "
-                    f"{self.construction_dimension / (self.r - 1):g}, got {self.p}"
+                    f"p: must lie in [1, d/(r-1)) = "
+                    f"[1, {self.construction_dimension / (self.r - 1):g}), got {self.p}"
                 )
-        if self.sweep_max_terms < 1:
-            raise ConfigError(f"sweep_max_terms: must be >= 1, got {self.sweep_max_terms}")
-        if self.pieces < 1:
-            raise ConfigError(f"pieces: must be >= 1, got {self.pieces}")
         for name in ("sweep_order", "solve_order"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -201,6 +204,8 @@ class ExperimentConfig:
         for t in self.t_grid:
             if not t > 0:
                 raise ConfigError(f"t_grid: each must be positive, got {t}")
+        if len(set(self.orders)) != len(self.orders):
+            raise ConfigError(f"orders: must be distinct, got {list(self.orders)}")
         for p in self.integrabilities:
             if not 1.0 < p < math.inf:
                 raise ConfigError(f"integrabilities: each must lie in (1, inf), got {p}")
@@ -292,8 +297,9 @@ def _measured_rates(
     if config.rate_b is not None and config.rate_c is not None:
         return config.rate_b, config.rate_c, None
     _, constants = _measured_constants(config, order)
-    b = config.rate_b if config.rate_b is not None else constants.growth_rate
-    c = config.rate_c if config.rate_c is not None else constants.mixing_rate
+    measured = constants.mixing_rate  # b is not measured: unset, it takes the measured c
+    b = config.rate_b if config.rate_b is not None else measured
+    c = config.rate_c if config.rate_c is not None else measured
     return b, c, constants
 
 

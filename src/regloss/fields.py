@@ -17,7 +17,7 @@ minimum-image convention throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,21 +133,19 @@ def _readonly(values: np.ndarray) -> np.ndarray:
 class ScalarField:
     """Samples of a real function on a periodic grid.
 
-    Values are copied and frozen; the grid mean is recorded at construction.
+    Values are copied and frozen.
     A field carries no support metadata: where it vanishes is a property of
     its values.
     """
 
     grid: Grid
     values: np.ndarray
-    mean: float = field(init=False)
 
     def __post_init__(self):
         vals = _readonly(self.values)
         if vals.shape != self.grid.shape:
             raise GeometryError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mean", float(vals.mean()))
 
     def shifted(self, offsets: tuple[int, ...]) -> "ScalarField":
         """Field translated by whole grid cells (periodic roll)."""
@@ -248,5 +246,5 @@ def cube_distance_to_complement(support: Cube, container: Cube) -> float:
 
 def demean(field_: ScalarField) -> ScalarField:
     """Subtract the grid mean."""
-    return ScalarField(field_.grid, field_.values - field_.mean)
+    return ScalarField(field_.grid, field_.values - float(field_.values.mean()))
 

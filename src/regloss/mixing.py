@@ -17,8 +17,8 @@ resampling) is provided for velocity fields without exact characteristics.
 
 The mixing rate c and the decay prefactors of the protocol are estimated
 per seed from measured norm histories (a log-linear fit and an upper
-envelope) and recorded.  The growth rate b is assumed, not measured:
-``estimate_mixer_constants`` sets b = c.
+envelope) and recorded.  The growth rate b is not measured or stored: a run
+that needs it and is given none takes b = c.
 
 Two routes use a second core, each with the calling thread and one worker
 thread, and each gives results identical to a serial loop:
@@ -463,26 +463,24 @@ def gronwall_lower_bound(l2: float, neg_norm: float) -> float:
 
 @dataclass(frozen=True)
 class MixerConstants:
-    """Rate constants of a mixing protocol, all measured except b.
+    """Measured rate constants of a mixing protocol.
 
-    mixing_rate (c) is the measured decay rate per unit time; growth_rate
-    (b) is per unit time too, but ``estimate_mixer_constants`` assumes
-    b = c rather than measuring it; field_prefactors maps a derivative
-    order r to the measured bound on the velocity norm;
-    decay_prefactors maps an order s to the fitted prefactor of the
-    exp(-s*c*t) decay; l2_norm is the conserved L2 norm of the datum.  The
-    derived lower-bound prefactor for order s is l2_norm^2/decay_prefactors[s].
+    mixing_rate (c) is the measured decay rate per unit time (b is not
+    measured: runs take b = c); field_prefactors maps a derivative order r
+    to the measured bound on the velocity norm; decay_prefactors maps an
+    order s to the fitted prefactor of the exp(-s*c*t) decay; l2_norm is
+    the conserved L2 norm of the datum.  The derived lower-bound prefactor
+    for order s is l2_norm^2/decay_prefactors[s].
     """
 
-    growth_rate: float
     mixing_rate: float
     field_prefactors: Mapping[float, float]
     decay_prefactors: Mapping[float, float]
     l2_norm: float
 
     def __post_init__(self):
-        if self.growth_rate <= 0 or self.mixing_rate <= 0 or self.l2_norm <= 0:
-            raise ValueError("rates and the L2 norm must be positive")
+        if self.mixing_rate <= 0 or self.l2_norm <= 0:
+            raise ValueError("the mixing rate and the L2 norm must be positive")
         if any(v <= 0 for v in self.field_prefactors.values()):
             raise ValueError("field prefactors must be positive")
         if any(v <= 0 for v in self.decay_prefactors.values()):
@@ -512,6 +510,8 @@ def norm_history(
     first failing sample time, as a serial loop would.
     """
     orders = [float(s) for s in orders]
+    if len(set(orders)) != len(orders):
+        raise ValueError(f"orders must be distinct, got {orders}")
     times = list(sample_times)
 
     def measure(t: float) -> list[float]:
@@ -538,16 +538,18 @@ def estimate_mixer_constants(
 ) -> tuple[MixerConstants, dict[float, RateEstimate]]:
     """Measure mixing-rate constants of the protocol on the given datum.
 
-    The datum must have zero mean.  The mixing rate c is the fitted decay
-    rate of the order -1 norm, fitted without the first ``FIT_SKIP`` samples.
-    The decay prefactor per order s is the measured upper envelope
+    The datum must have zero mean, and ``decay_orders`` must hold 1 and no
+    order twice.  The mixing rate c is the fitted decay rate of the order -1
+    norm, fitted without the first ``FIT_SKIP`` samples.  The decay
+    prefactor per order s is the measured upper envelope
     max_t ||rho(t)||_{-s} * exp(s*c*t), so the decay bound holds at every
-    sampled time by construction; prefactors
-    are valid on the sampled window only.  For the fixed-amplitude
-    protocol the higher-order velocity norms are constant in time, so the
-    growth rate is conservatively recorded as c with the field prefactors
-    (orders 1 and 2, L^2) taken from the measured maxima.
+    sampled time by construction; prefactors are valid on the sampled
+    window only.  The field prefactors (orders 1 and 2, L^2) are the
+    measured velocity-norm maxima.  b is not measured: the fixed-amplitude
+    protocol's velocity norms are constant in time, and runs take b = c.
     """
+    if 1.0 not in decay_orders:
+        raise ValueError(f"c is fitted at order 1, so decay_orders must hold 1: {decay_orders}")
     times = flow.start_times()
     history = norm_history(flow, datum, [-s for s in decay_orders], times)
     fits: dict[float, RateEstimate] = {}
@@ -569,7 +571,6 @@ def estimate_mixer_constants(
         field_prefactors[float(r)] = max(nv.value for nv in series)
     l2 = hs_norm(datum, 0.0).value
     constants = MixerConstants(
-        growth_rate=c,
         mixing_rate=c,
         field_prefactors=field_prefactors,
         decay_prefactors=decay_prefactors,

@@ -1,7 +1,7 @@
 """Rescale-and-patch construction: schedules, placement, certificates.
 
 The construction places rescaled copies of a base mixing pair (velocity,
-datum) in pairwise disjoint cubes that accumulate at a point.  Three
+datum) in pairwise disjoint cubes that accumulate at the origin.  Three
 positive sequences drive it: spatial scales lam_n (the n-th cube has side
 3*lam_n and hosts data supported in the concentric cube of side lam_n),
 time scales tau_n, and amplitudes gamma_n.
@@ -124,18 +124,15 @@ class ConstructionParams:
 
 @dataclass(frozen=True)
 class Schedule:
-    """The three driving sequences plus the cube-placement data."""
+    """The three driving sequences of a construction in R^dimension, accumulating at the origin."""
 
     lam: ExpPolySeries
     tau: ExpPolySeries
     gamma: ExpPolySeries
     dimension: int
-    accumulation_point: tuple[float, ...]
     params: ConstructionParams | None = None
 
     def __post_init__(self):
-        if len(self.accumulation_point) != self.dimension:
-            raise ValueError("accumulation point dimension mismatch")
         # built once per schedule, not per certificate, to save run time:
         # every certificate of this schedule records this one dict
         object.__setattr__(self, "_dict", {
@@ -143,7 +140,6 @@ class Schedule:
             "tau": self.tau.as_dict(),
             "gamma": self.gamma.as_dict(),
             "dimension": self.dimension,
-            "accumulation_point": list(self.accumulation_point),
         })
 
     def as_dict(self) -> dict:
@@ -157,7 +153,6 @@ class Schedule:
             tau=ExpPolySeries.from_dict(data["tau"]),
             gamma=ExpPolySeries.from_dict(data["gamma"]),
             dimension=data["dimension"],
-            accumulation_point=tuple(data["accumulation_point"]),
         )
 
 
@@ -204,15 +199,13 @@ class ConditionCertificate:
 def total_loss_schedule(dimension: int = 2) -> Schedule:
     """Schedule destroying all positive fractional orders instantly.
 
-    lam_n = e^-n, tau_n = n^-3, gamma_n = e^-(n^2); the cubes accumulate
-    at the origin.
+    lam_n = e^-n, tau_n = n^-3, gamma_n = e^-(n^2).
     """
     return Schedule(
         lam=ExpPolySeries(1.0, 0.0, (-1.0,)),
         tau=ExpPolySeries(1.0, -3.0, ()),
         gamma=ExpPolySeries(1.0, 0.0, (0.0, -1.0)),
         dimension=dimension,
-        accumulation_point=(0.0,) * dimension,
     )
 
 
@@ -233,8 +226,7 @@ def partial_loss_schedule(
     n^-2 * exp(alpha*(d/2 - sigma)*T*n), with alpha = alpha_margin times
     the critical rate (r-1)*b/beta.  alpha_margin > 1 makes the velocity
     condition converge with margin; alpha_margin = 1 sits exactly at the
-    critical rate where the loss threshold reaches mu_bar.  The cubes
-    accumulate at the origin.
+    critical rate where the loss threshold reaches mu_bar.
     """
     if r <= 1:
         raise LipschitzEmbeddingError("partial-loss mode needs a derivative order r > 1")
@@ -268,7 +260,6 @@ def partial_loss_schedule(
         tau=ExpPolySeries(1.0, -1.0, ()),
         gamma=ExpPolySeries(1.0, -2.0, (alpha * (dimension / 2.0 - sigma) * horizon,)),
         dimension=dimension,
-        accumulation_point=(0.0,) * dimension,
         params=params,
     )
 
@@ -290,11 +281,11 @@ def _clock_degree(tau: ExpPolySeries) -> int:
 
 
 def place_cubes(schedule: Schedule, count: int) -> list[Cube]:
-    """First ``count`` cubes: disjoint, compactly contained, accumulating.
+    """First ``count`` cubes: disjoint, compactly contained, accumulating at the origin.
 
-    Cubes are laid along the first axis with the n-th cube of side
-    3*lam_n at offset 6*sum_{m>n} lam_m from the accumulation point, which
-    leaves a gap of 3*lam_{n+1} between consecutive cubes.  Requires
+    Cubes are laid along the positive first axis with the n-th cube of
+    side 3*lam_n at offset 6*sum_{m>n} lam_m from the origin, which leaves
+    a gap of 3*lam_{n+1} between consecutive cubes.  Requires
     sum lam_n < inf, certified exactly before any placement.
     """
     if count < 1:
@@ -305,12 +296,11 @@ def place_cubes(schedule: Schedule, count: int) -> list[Cube]:
             f"spatial scales are not summable ({verdict.reason}); no compact placement exists"
         )
     cubes = []
-    acc = schedule.accumulation_point
+    rest = (0.0,) * (schedule.dimension - 1)
     for n in range(1, count + 1):
         lam_n = schedule.lam.term(n)
         offset = 6.0 * tail_sum(schedule.lam, n)
-        center = (acc[0] + offset + 1.5 * lam_n,) + tuple(acc[1:])
-        cubes.append(Cube(center, 3.0 * lam_n))
+        cubes.append(Cube((offset + 1.5 * lam_n,) + rest, 3.0 * lam_n))
     return cubes
 
 
@@ -345,7 +335,7 @@ def evaluate_condition(
         _need(r=r, p=p, b=b, t=t)
         m = _clock_degree(tau)
         series = product_and_power(
-            [lam, tau, exp_factor((r - 1.0) * b * t, m, lam.start)], [1.0 - r + d / p, -1.0, 1.0]
+            [lam, tau, exp_factor((r - 1.0) * b * t, m)], [1.0 - r + d / p, -1.0, 1.0]
         )
         result = classify(series)
     elif condition is Condition.VELOCITY_NORM_LIPSCHITZ:
@@ -369,7 +359,7 @@ def evaluate_condition(
         _need(s=s, t=t, c=c)
         m = _clock_degree(tau)
         series = product_and_power(
-            [gamma, lam, exp_factor(2.0 * s * c * t, m, lam.start)], [2.0, d - 2.0 * s, 1.0]
+            [gamma, lam, exp_factor(2.0 * s * c * t, m)], [2.0, d - 2.0 * s, 1.0]
         )
         result = classify(series)
     else:  # pragma: no cover

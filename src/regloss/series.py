@@ -22,7 +22,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "ExpPolySeries",
     "Classification",
-    "AlignmentError",
     "classify",
     "classify_bounded",
     "partial_sum",
@@ -36,10 +35,6 @@ __all__ = [
 _LOG_FLOAT_MAX = 709.0
 
 
-class AlignmentError(ValueError):
-    """Series with different start indices cannot be combined termwise."""
-
-
 def _trim(coeffs) -> tuple[float, ...]:
     """Drop trailing exact zeros so the leading coefficient is meaningful."""
     out = list(float(q) for q in coeffs)
@@ -50,7 +45,7 @@ def _trim(coeffs) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ExpPolySeries:
-    """Term family ``c * n**k * exp(q(n))`` for n = start, start+1, ...
+    """Term family ``c * n**k * exp(q(n))`` for n = 1, 2, ...
 
     ``exponent_poly`` holds (q_1, ..., q_m); the degree-0 part of the
     exponent belongs in ``coefficient``.
@@ -59,11 +54,8 @@ class ExpPolySeries:
     coefficient: float = 1.0
     power: float = 0.0
     exponent_poly: tuple[float, ...] = field(default_factory=tuple)
-    start: int = 1
 
     def __post_init__(self):
-        if self.start < 1:
-            raise ValueError(f"start index must be >= 1, got {self.start}")
         object.__setattr__(self, "coefficient", float(self.coefficient))
         object.__setattr__(self, "power", float(self.power))
         object.__setattr__(self, "exponent_poly", _trim(self.exponent_poly))
@@ -83,8 +75,8 @@ class ExpPolySeries:
 
     def term(self, n: int) -> float:
         """Value of the n-th term; +/-inf on overflow."""
-        if n < self.start:
-            raise ValueError(f"index {n} precedes start {self.start}")
+        if n < 1:
+            raise ValueError(f"index {n} precedes the first index 1")
         if self.coefficient == 0.0:
             return 0.0
         sign = 1.0 if self.coefficient > 0 else -1.0
@@ -102,7 +94,6 @@ class ExpPolySeries:
             "c": self.coefficient,
             "k": self.power,
             "q": list(self.exponent_poly),
-            "n0": self.start,
         }
 
     @classmethod
@@ -111,7 +102,6 @@ class ExpPolySeries:
             coefficient=data["c"],
             power=data["k"],
             exponent_poly=tuple(data["q"]),
-            start=data["n0"],
         )
 
 
@@ -204,21 +194,19 @@ def _difference_term(plus: ExpPolySeries, minus: ExpPolySeries, n: int) -> float
 def _terms(
     series: ExpPolySeries, upto: int, minus: ExpPolySeries | None = None
 ) -> Iterator[float]:
-    """Terms start..upto of ``series``, or of its termwise difference with ``minus``."""
-    if upto < series.start:
-        raise ValueError(f"upper index {upto} precedes start {series.start}")
-    indices = range(series.start, upto + 1)
+    """Terms 1..upto of ``series``, or of its termwise difference with ``minus``."""
+    if upto < 1:
+        raise ValueError(f"upper index {upto} precedes the first index 1")
+    indices = range(1, upto + 1)
     if minus is None:
         return map(series.term, indices)
-    if minus.start != series.start:
-        raise AlignmentError("both parts of a difference must share the start index")
     return (_difference_term(series, minus, n) for n in indices)
 
 
 def partial_sums(
     series: ExpPolySeries, upto: int, minus: ExpPolySeries | None = None
 ) -> list[float]:
-    """Running partial sums S(start), ..., S(upto) of ``series`` (minus ``minus``, termwise).
+    """Running partial sums S(1), ..., S(upto) of ``series`` (minus ``minus``, termwise).
 
     S(n) is the correctly rounded sum of its terms, equal to ``math.fsum``,
     and all sums take time linear in their count.  The first term or partial
@@ -227,11 +215,11 @@ def partial_sums(
     ``log_term`` is larger.  No sum is ever NaN.
     """
     sums = list(_running_sums(_terms(series, upto, minus)))
-    return sums + sums[-1:] * (upto - series.start + 1 - len(sums))
+    return sums + sums[-1:] * (upto - len(sums))
 
 
 def partial_sum(series: ExpPolySeries, upto: int) -> float:
-    """Sum of terms from start through ``upto``: the last of ``partial_sums``."""
+    """Sum of terms 1 through ``upto``: the last of ``partial_sums``."""
     return partial_sums(series, upto)[-1]
 
 
@@ -245,9 +233,6 @@ def product_and_power(series: list[ExpPolySeries], exponents: list[float]) -> Ex
         raise ValueError("series and exponents must have equal length")
     if not series:
         raise ValueError("empty product")
-    start = series[0].start
-    if any(s.start != start for s in series):
-        raise AlignmentError("all factors must share the same start index")
     coeff = 1.0
     power = 0.0
     q: list[float] = []
@@ -258,16 +243,16 @@ def product_and_power(series: list[ExpPolySeries], exponents: list[float]) -> Ex
             while len(q) <= j:
                 q.append(0.0)
             q[j] += e * qj
-    return ExpPolySeries(coefficient=coeff, power=power, exponent_poly=tuple(q), start=start)
+    return ExpPolySeries(coefficient=coeff, power=power, exponent_poly=tuple(q))
 
 
-def exp_factor(coefficient: float, degree: int, start: int = 1) -> ExpPolySeries:
+def exp_factor(coefficient: float, degree: int) -> ExpPolySeries:
     """The family exp(coefficient * n**degree), e.g. an exponential clock."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     q = [0.0] * degree
     q[degree - 1] = coefficient
-    return ExpPolySeries(coefficient=1.0, power=0.0, exponent_poly=tuple(q), start=start)
+    return ExpPolySeries(coefficient=1.0, power=0.0, exponent_poly=tuple(q))
 
 
 def tail_sum(
@@ -282,7 +267,7 @@ def tail_sum(
     """
     if classify(series).verdict != "convergent":
         raise ValueError("tail_sum requires a certified convergent series")
-    first = max(after, series.start - 1) + 1
+    first = max(after, 0) + 1
     terms, summed = tee(map(series.term, range(first, first + max_terms)))
     for t, total in zip(terms, _running_sums(summed)):
         if abs(t) <= rel_tol * abs(total):

@@ -42,7 +42,6 @@ def default_mix():
         for s in (0.5, 1.0)
     }
     constants = MixerConstants(
-        growth_rate=c,
         mixing_rate=c,
         field_prefactors={1.0: 1.0},
         decay_prefactors=envelopes,

@@ -105,6 +105,12 @@ def test_certificates_json_round_trip(tmp_path):
     parsed = json.loads(text)
     again = json.dumps(parsed, sort_keys=True) + "\n"
     assert again == text
+    # every key written is one that from_dict reads back: no write-only field
+    for cert in parsed["certificates"]:
+        schedule = cert["params"]["schedule"]
+        assert set(schedule) == {"lam", "tau", "gamma", "dimension"}
+        for series in (cert["series"], schedule["lam"], schedule["tau"], schedule["gamma"]):
+            assert set(series) == {"c", "k", "q"}
 
 
 @pytest.mark.parametrize(
@@ -302,6 +308,7 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         ("seed", {"seed": 1.5}),
         ("grid_points", {"grid_points": "64"}),
         ("orders", {"orders": 0.5}),
+        ("repeated_orders", {"orders": [0.5, 0.5]}),
         ("amplitude", {"amplitude": "3"}),
         ("banded", {"banded": "no"}),
         ("s_grid", {"s_grid": []}),
@@ -313,6 +320,11 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         ("nan_order", {"s_grid": [math.nan]}),
         ("order_above_one", {"s_grid": [1.5]}),
         ("negative_time", {"t_grid": [-1.0]}),
+        # W^{r,p} needs p >= 1, the construction d >= 2, and the threshold sweep a sample
+        ("p_zero", {"p": 0}),
+        ("p_negative", {"p": -1}),
+        ("construction_d1", {"construction_dimension": 1, "p": 0.5}),
+        ("no_samples", {"threshold_samples": 0}),
     ):
         refused[name] = tmp_path / f"{name}.json"
         refused[name].write_text(json.dumps(value))
@@ -352,6 +364,8 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         (["mix", "--config", str(refused["seed"])], "configuration error: seed"),
         (["mix", "--config", str(refused["grid_points"])], "configuration error: grid_points"),
         (["norms", "--config", str(refused["orders"])], "configuration error: orders"),
+        (["mix", "--grid", "32", "--config", str(refused["repeated_orders"])],
+         "configuration error: orders"),
         (["mix", "--grid", "32", "--config", str(refused["amplitude"])],
          "configuration error: amplitude"),
         (["mix", "--grid", "32", "--config", str(refused["banded"])],
@@ -367,6 +381,14 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         (["certify", "--config", str(refused["nan_order"])], "configuration error: s_grid"),
         (["certify", "--config", str(refused["order_above_one"])], "configuration error: s_grid"),
         (["certify", "--config", str(refused["negative_time"])], "configuration error: t_grid"),
+        (["certify", "--target", "partial", "--config", str(refused["p_zero"]), *rates],
+         "configuration error: p"),
+        (["certify", "--target", "partial", "--config", str(refused["p_negative"]), *rates],
+         "configuration error: p"),
+        (["certify", "--target", "partial", "--config", str(refused["construction_d1"]), *rates],
+         "configuration error: construction_dimension"),
+        (["certify", "--target", "partial", "--config", str(refused["no_samples"]), *rates],
+         "configuration error: threshold_samples"),
     ]
     for argv, message in cases:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2

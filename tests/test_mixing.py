@@ -154,7 +154,7 @@ def test_conservation_gentle_protocol():
     for t in flow.start_times():
         state = exact_solution_at(datum, flow, t)
         assert abs(hs_norm(state, 0.0).value - l2_0) / l2_0 < 1e-3
-        assert abs(state.mean - datum.mean) < 1e-5
+        assert abs(float(state.values.mean()) - float(datum.values.mean())) < 1e-5
 
 
 def test_semi_lagrangian_zero_velocity():
@@ -430,13 +430,27 @@ def test_norm_history_peak_memory_stays_within_fourteen_grid_arrays():
     assert peak <= 14 * 8 * points**2
 
 
+def test_norm_history_refuses_repeated_orders():
+    # one list per order: a repeated order would append its values twice
+    datum, flow = _default_protocol(32)
+    for orders in ([0.5, 0.5], [1, 1.0], [0.0, -0.0]):
+        with pytest.raises(ValueError, match="distinct"):
+            norm_history(flow, datum, orders, flow.start_times()[:3])
+
+
+def test_estimate_mixer_constants_needs_order_one():
+    datum, flow = _default_protocol(32)
+    with pytest.raises(ValueError, match="c is fitted at order 1"):
+        estimate_mixer_constants(flow, datum, decay_orders=(0.5,))
+
+
 def test_estimate_mixer_constants_contract():
     g = Grid(2, 128)
     datum = demean(make_bump(g, (0.5, 0.5), 0.125, 1.0))
     flow = build_mixing_protocol(5, 2.0, 0.125, 3.2)
     constants, fits = estimate_mixer_constants(flow, datum)
     assert constants.mixing_rate > 0
-    assert constants.growth_rate == constants.mixing_rate
+    assert not hasattr(constants, "growth_rate")
     # derived growth prefactor is l2^2 / decay prefactor
     for s, pref in constants.decay_prefactors.items():
         assert constants.lower_prefactor(s) == pytest.approx(
@@ -475,9 +489,9 @@ def test_estimate_mixer_constants_transform_count(monkeypatch):
 
 def test_mixer_constants_validation():
     with pytest.raises(ValueError):
-        MixerConstants(0.0, 1.0, {1.0: 1.0}, {1.0: 1.0}, 1.0)
+        MixerConstants(0.0, {1.0: 1.0}, {1.0: 1.0}, 1.0)
     with pytest.raises(ValueError):
-        MixerConstants(1.0, 1.0, {1.0: -1.0}, {1.0: 1.0}, 1.0)
+        MixerConstants(1.0, {1.0: -1.0}, {1.0: 1.0}, 1.0)
 
 
 def test_monotone_mixing_trend(default_mix):

@@ -80,10 +80,10 @@ def test_place_cubes_disjoint_compact_accumulating():
     for i in range(10):
         for j in range(i + 1, 10):
             assert cubes[i].distance_to(cubes[j]) > 0.0
-    # sides shrink like the spatial scale and centers approach the target
+    # sides shrink like the spatial scale and centers approach the origin
     for n, cube in enumerate(cubes, start=1):
         assert cube.side == pytest.approx(3.0 * math.exp(-n), rel=1e-12)
-    dists = [np.hypot(*(np.array(c.center) - np.array(sch.accumulation_point))) for c in cubes]
+    dists = [np.hypot(*c.center) for c in cubes]
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert max(c.center[0] + c.half for c in cubes) < 5.0
 
@@ -99,7 +99,6 @@ def test_place_cubes_requires_summable_scales():
         tau=ExpPolySeries(1.0, -3.0, ()),
         gamma=ExpPolySeries(1.0, 0.0, (0.0, -1.0)),
         dimension=2,
-        accumulation_point=(0.0, 0.0),
     )
     with pytest.raises(InfeasiblePlacementError):
         place_cubes(sch, 3)
@@ -162,7 +161,6 @@ def test_clock_requires_power_law_time_scales():
         tau=ExpPolySeries(1.0, 0.0, (-1.0,)),  # e^-n, not a power of n
         gamma=ExpPolySeries(1.0, 0.0, (0.0, -1.0)),
         dimension=2,
-        accumulation_point=(0.0, 0.0),
     )
     with pytest.raises(UnsupportedScheduleError):
         evaluate_condition(sch, Condition.NORM_BLOWUP, s=0.5, t=0.1, c=1.0)
@@ -207,7 +205,6 @@ def _constants(decay_prefactor=0.03):
     from regloss import MixerConstants
 
     return MixerConstants(
-        growth_rate=1.0,
         mixing_rate=1.0,
         field_prefactors={1.0: 1.0},
         decay_prefactors={0.5: decay_prefactor},

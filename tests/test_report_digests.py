@@ -45,16 +45,16 @@ DIGESTS = {
     "certify --target total": {
         "blowup_sweep_d2.csv": "b57de4c39516c574c5f4e44704df7ab237cc5aa0791e615092035cc313376ed9",
         "blowup_sweep_d3.csv": "f578a7544325dbce6298994f938916d08b0ccf09d6398c620303e93ecc6ddaf1",
-        "certificates.json": "036098ce9f37ad46ea8c5d81cb2aa7e3d0866a8381efcbf863e5ec91802bffc5",
+        "certificates.json": "8f5adc7a6a0f001a8ba4886c09ed74a49567cb8a5e59ccbfb065f2c4bb2b155b",
         "summary.txt": "015aaff1f1421fead384c7d2cde1f5dab13861c9c5f168251cb8324c2c69039e",
     },
     "certify --target partial --rate-b 0.9 --rate-c 1.3": {
-        "certificates.json": "0b149d22d2582d6e35a4a56acb5a5c98b8eb8124d9360778629caaf0cfa26a0f",
+        "certificates.json": "8a57dbfbfa279485f28aa47fe8cf730d7bc43244619b5379d42b12ad098d994a",
         "loss_threshold.csv": "30e3cea8bda5896132079cc506f07bdd3023b9a3435beb95ef1c3fdaceb25015",
         "summary.txt": "1023b6a6be6a57edbe16ca764e1c21c745d84cef37522a1a01dee39ee33ee71a",
     },
     "certify --target partial --grid 64": {
-        "certificates.json": "be822548e27f816c29f79c0c8391fbf236002efcf823272fa53783dcbbf2bb16",
+        "certificates.json": "9aceecb0ad0ada2667f1ec61d34f664411e7edd099c58143af5ed33f5aa4c62b",
         "loss_threshold.csv": "f1ab44d88691dcc63eb00572fe27ab71981affb8cf5884048547789c4a2d064d",
         "summary.txt": "2c6c96fb37595ba86c5674c9383e8f1cda5241f07344c6949d371c3a8a658b6d",
     },
@@ -72,11 +72,11 @@ DIGESTS = {
     "certify --target total --config total-40x4.json": {
         "blowup_sweep_d2.csv": "aab3b837441f0562cf51e46d83c401caaded1478314607c55ea730648200761d",
         "blowup_sweep_d3.csv": "b51cdb6f7ec08148384864dc01f5e4e61cdccec2e7c6061eab6cdadc5b23aa10",
-        "certificates.json": "2335f43fcaf329df337735731bb50de3ca706db52a4c6eb96c15c1fdc575b136",
+        "certificates.json": "703b6a91f94dd55d3f289fe3fc58780358be75bf7df757de563c1b833575c802",
         "summary.txt": "e61ef0197ddcefc6ba11f4a5b74847d85277c3a6c5006f7651afffdd0d6dfe26",
     },
     "certify --target partial --rate-b 0.9 --rate-c 1.3 --config partial-800.json": {
-        "certificates.json": "2ce1c36ab83ac28a319138bbf82c581237695a248220616c2fe4e912cca113f9",
+        "certificates.json": "40f07fbc492d639238caad28ba1850a7400102472073ab83e4015983d3040bcb",
         "loss_threshold.csv": "98d49a5a0dd027e98691537f7609dca2b30f056dc5d159c6fd5a95b20b6f2f35",
         "summary.txt": "6cd4c3e2177e98b4344c9a58f6602962e87475bcbecd5c110563a6f83bbc32e6",
     },

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regloss import (
-    AlignmentError,
     ExpPolySeries,
     classify,
     classify_bounded,
@@ -72,8 +71,8 @@ def test_partial_sum_geometric_closed_form():
 
 
 def test_partial_sum_single_term():
-    series = ExpPolySeries(2.0, 1.0, (-0.5,), start=3)
-    assert partial_sum(series, 3) == pytest.approx(series.term(3), rel=0, abs=0)
+    series = ExpPolySeries(2.0, 1.0, (-0.5,))
+    assert partial_sum(series, 1) == pytest.approx(series.term(1), rel=0, abs=0)
 
 
 def test_partial_sum_tail_settled():
@@ -142,8 +141,10 @@ def test_partial_sum_saturates_when_the_sum_overflows():
 
 
 def test_partial_sums_difference_needs_aligned_parts():
-    with pytest.raises(AlignmentError):
-        partial_sums(ExpPolySeries(), 5, minus=ExpPolySeries(start=2))
+    # both parts start at n = 1, so the difference pairs term n with term n
+    plus, minus = ExpPolySeries(2.0, 0.0, (-1.0,)), ExpPolySeries(1.0, -2.0, ())
+    terms = [plus.term(n) - minus.term(n) for n in range(1, 6)]
+    assert partial_sums(plus, 5, minus=minus) == [math.fsum(terms[:k]) for k in range(1, 6)]
 
 
 def test_partial_sums_monotone_for_positive_terms():
@@ -154,7 +155,7 @@ def test_partial_sums_monotone_for_positive_terms():
 
 def test_partial_sum_bad_range():
     with pytest.raises(ValueError):
-        partial_sum(ExpPolySeries(1.0, 0.0, (-1.0,), start=5), 4)
+        partial_sum(ExpPolySeries(1.0, 0.0, (-1.0,)), 0)
 
 
 def test_product_squares_exponent():
@@ -181,10 +182,12 @@ def test_product_assembles_blowup_series():
 
 
 def test_product_alignment_error():
-    a = ExpPolySeries(1.0, 0.0, (-1.0,), start=1)
-    b = ExpPolySeries(1.0, 0.0, (-1.0,), start=2)
-    with pytest.raises(AlignmentError):
-        product_and_power([a, b], [1.0, 1.0])
+    # every factor starts at n = 1, so the product pairs term n with term n
+    a = ExpPolySeries(1.0, 0.0, (-1.0,))
+    b = ExpPolySeries(2.0, 1.0, (0.5,))
+    product = product_and_power([a, b], [1.0, 1.0])
+    for n in range(1, 6):
+        assert product.term(n) == pytest.approx(a.term(n) * b.term(n), rel=1e-15)
 
 
 def test_product_associative_commutative():
@@ -207,13 +210,13 @@ def test_exp_factor_degree_validation():
 
 def test_start_index_validation():
     with pytest.raises(ValueError):
-        ExpPolySeries(1.0, 0.0, (), start=0)
+        partial_sums(ExpPolySeries(1.0, 0.0, ()), 0)
 
 
 def test_term_before_start_rejected():
-    series = ExpPolySeries(1.0, 0.0, (-1.0,), start=4)
+    series = ExpPolySeries(1.0, 0.0, (-1.0,))
     with pytest.raises(ValueError):
-        series.term(2)
+        series.term(0)
 
 
 def test_tail_sum_matches_geometric_tail():
@@ -235,7 +238,7 @@ def test_tail_sum_refuses_unsettled_tail():
 
 
 def test_serialization_round_trip():
-    series = ExpPolySeries(2.5, -1.5, (0.25, -0.75), start=2)
+    series = ExpPolySeries(2.5, -1.5, (0.25, -0.75))
     assert ExpPolySeries.from_dict(series.as_dict()) == series
 
 
