@@ -3,8 +3,8 @@
 The package provides, at desk scale:
 
 - periodic grids and compactly supported data (``fields``);
-- fractional Sobolev norms with two independent evaluation routes and the
-  rescaling/interpolation/almost-orthogonality toolbox (``sobolev``);
+- fractional Sobolev norms, as plain floats, with two independent
+  evaluation routes and the almost-orthogonality bound (``sobolev``);
 - exact shear-mixing protocols, exact transport along them, a generic
   semi-Lagrangian solver, and measured rate constants (``mixing``);
 - exact convergence certification for exp-polynomial series (``series``);
@@ -19,7 +19,6 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
-    cube_distance_to_complement,
     demean,
     make_bump,
 )
@@ -68,14 +67,10 @@ from .series import (
     product_and_power,
 )
 from .sobolev import (
-    NormValue,
-    SobolevIndex,
     UnsupportedIndexError,
     gagliardo_seminorm,
     hs_norm,
-    interpolation_bound,
     orthogonality_lower_bound,
-    rescaled_norm,
     sphere_surface_area,
     wsp_norm,
 )

@@ -343,20 +343,19 @@ def _run_norms(config: ExperimentConfig, bundle: ReportBundle) -> None:
     gagliardo = dict(zip(fractional, gagliardo_seminorm(datum, fractional))) if fractional else {}
     rows = []
     for s in config.orders:
-        nv = hs_norm(datum, s)
-        rows.append(("datum", s, 2.0, "multiplier", nv.value))
+        rows.append(("datum", s, 2.0, "multiplier", hs_norm(datum, s)))
         for p in config.integrabilities:
             if p != 2.0:
-                rows.append(("datum", s, p, "multiplier", wsp_norm(datum, s, p).value))
+                rows.append(("datum", s, p, "multiplier", wsp_norm(datum, s, p)))
         if s in gagliardo:
-            rows.append(("datum", s, 2.0, "gagliardo", gagliardo[s].value))
+            rows.append(("datum", s, 2.0, "gagliardo", gagliardo[s]))
     bundle.add_table("norm_table", ["field_id", "s", "p", "method", "value"], rows)
     bundle.note(f"norm table over {len(config.orders)} orders on M={config.grid_points}")
 
 
 def _certify_total(config: ExperimentConfig, bundle: ReportBundle) -> None:
     c_rate = config.rate_c if config.rate_c is not None else 1.0
-    for d in sorted({config.dimension, config.construction_dimension} & {2, 3}) or [2]:
+    for d in sorted({config.dimension, config.construction_dimension}):
         schedule = total_loss_schedule(dimension=d)
         bundle.certificates.append(evaluate_condition(schedule, Condition.CUBE_PLACEMENT))
         for p in (1.5, 2.0, 4.0, 8.0):
@@ -455,9 +454,7 @@ def _run_sweep(config: ExperimentConfig, bundle: ReportBundle) -> None:
         )
     schedule = total_loss_schedule(dimension=config.dimension)
     s, t = config.sweep_order, config.sweep_time
-    sums = hs_lower_bound_partial_sums(
-        schedule, s, t, config.sweep_max_terms, constants, config.dimension
-    )
+    sums = hs_lower_bound_partial_sums(schedule, s, t, config.sweep_max_terms, constants)
     rows = [(n + 1, sums[n]) for n in range(len(sums))]
     bundle.add_table("lower_bound", ["n", "partial_sum"], rows)
     crossing = next(
@@ -467,7 +464,7 @@ def _run_sweep(config: ExperimentConfig, bundle: ReportBundle) -> None:
         f"lower bound at order {s}, t={t}: smallest truncation above "
         f"{config.sweep_threshold:g} is {crossing}"
     )
-    rest = hs_lower_bound_partial_sums(schedule, s, 0.0, 100, constants, config.dimension)
+    rest = hs_lower_bound_partial_sums(schedule, s, 0.0, 100, constants)
     bundle.note(
         f"at t=0 the bound stays finite: |S(100)-S(50)| = {abs(rest[99] - rest[49]):.3e}"
     )
@@ -495,17 +492,17 @@ def _run_solve(config: ExperimentConfig, bundle: ReportBundle) -> None:
     rows = []
     for t in config.solve_times:
         theta = evaluate_truncated_solution(schedule, flow, datum, n_pieces, t, window, grid)
-        measured_sq = hs_norm(theta, s).value ** 2
+        measured_sq = hs_norm(theta, s) ** 2
         pieces = []
         for n in range(1, n_pieces + 1):
             lam_n = schedule.lam.term(n)
             gamma_n = schedule.gamma.term(n)
             state = exact_solution_at(datum, flow, t / schedule.tau.term(n))
-            hs_sq = (gamma_n * lam_n ** (1.0 - s) * hs_norm(state, s).value) ** 2
-            l2_sq = (gamma_n * lam_n * hs_norm(state, 0.0).value) ** 2
+            hs_sq = (gamma_n * lam_n ** (1.0 - s) * hs_norm(state, s)) ** 2
+            l2_sq = (gamma_n * lam_n * hs_norm(state, 0.0)) ** 2
             pieces.append((hs_sq, l2_sq, lam_n))
         orth = orthogonality_lower_bound(pieces, s, 2)
-        series_bound = hs_lower_bound_partial_sums(schedule, s, t, n_pieces, constants, 2)[-1]
+        series_bound = hs_lower_bound_partial_sums(schedule, s, t, n_pieces, constants)[-1]
         rows.append((t, measured_sq, orth, series_bound, measured_sq >= orth >= series_bound))
     bundle.add_table(
         "truncated_solution",

@@ -31,7 +31,6 @@ __all__ = [
     "radial_cutoff",
     "make_bump",
     "demean",
-    "cube_distance_to_complement",
 ]
 
 
@@ -147,11 +146,6 @@ class ScalarField:
             raise GeometryError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "values", vals)
 
-    def shifted(self, offsets: tuple[int, ...]) -> "ScalarField":
-        """Field translated by whole grid cells (periodic roll)."""
-        vals = np.roll(self.values, offsets, axis=tuple(range(self.grid.dimension)))
-        return ScalarField(self.grid, vals)
-
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
@@ -226,22 +220,6 @@ def make_bump(grid: Grid, center: tuple[float, ...], radius: float, amplitude: f
     inside = t < 1.0
     vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - t[inside]))
     return ScalarField(grid, vals)
-
-
-def cube_distance_to_complement(support: Cube, container: Cube) -> float:
-    """Distance from the support cube to the complement of the container.
-
-    For concentric cubes with sides a <= b this is (b - a)/2.
-    """
-    if len(support.center) != len(container.center):
-        raise GeometryError("cube dimensions differ")
-    margins = []
-    for cs, cc in zip(support.center, container.center):
-        m = container.half - support.half - abs(cs - cc)
-        if m < -1e-15:
-            raise GeometryError("support cube is not contained in the container")
-        margins.append(max(m, 0.0))
-    return min(margins)
 
 
 def demean(field_: ScalarField) -> ScalarField:

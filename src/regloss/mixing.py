@@ -44,7 +44,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter, spline_filter1d
 
 from .fields import Grid, ScalarField, VectorField, demean, radial_cutoff
-from .sobolev import NormValue, hs_norm, wsp_norm
+from .sobolev import hs_norm, wsp_norm
 
 __all__ = [
     "CFLError",
@@ -410,7 +410,7 @@ def advect_semi_lagrangian(
 
 def velocity_norm_series(
     flow: FlowMap, r: float, p: float, sample_times: Sequence[float], grid: Grid
-) -> list[NormValue]:
+) -> list[float]:
     """Order-r, L^p norms of the protocol velocity at the sample times."""
     return [wsp_norm(flow.velocity_field(t, grid), r, p) for t in sample_times]
 
@@ -516,7 +516,7 @@ def norm_history(
 
     def measure(t: float) -> list[float]:
         state = demean(exact_solution_at(datum, flow, t))
-        return [hs_norm(state, s).value for s in orders]
+        return [hs_norm(state, s) for s in orders]
 
     out: dict[float, list[float]] = {s: [] for s in orders}
     # the caller works too: with two workers and the caller idle, a third
@@ -568,8 +568,8 @@ def estimate_mixer_constants(
     field_prefactors = {}
     for r in (1.0, 2.0):
         series = velocity_norm_series(flow, r, 2.0, times[:-1], grid)
-        field_prefactors[float(r)] = max(nv.value for nv in series)
-    l2 = hs_norm(datum, 0.0).value
+        field_prefactors[float(r)] = max(series)
+    l2 = hs_norm(datum, 0.0)
     constants = MixerConstants(
         mixing_rate=c,
         field_prefactors=field_prefactors,

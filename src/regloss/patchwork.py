@@ -389,7 +389,7 @@ def blowup_time(s: float, sigma: float, alpha: float, c: float, horizon: float) 
 
 
 def hs_lower_bound_partial_sums(
-    schedule: Schedule, s: float, t: float, upto: int, constants: MixerConstants, d: int
+    schedule: Schedule, s: float, t: float, upto: int, constants: MixerConstants
 ) -> list[float]:
     """Running partial sums of the certified lower bound for the squared order-s norm.
 
@@ -405,8 +405,7 @@ def hs_lower_bound_partial_sums(
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {s}")
-    if d != schedule.dimension:
-        raise ValueError(f"dimension {d} differs from the schedule's {schedule.dimension}")
+    d = schedule.dimension
     blowup = evaluate_condition(
         schedule, Condition.NORM_BLOWUP, s=s, t=t, c=constants.mixing_rate
     ).series

@@ -33,6 +33,8 @@ __all__ = [
 
 # exp(x) overflows float64 slightly above this
 _LOG_FLOAT_MAX = 709.0
+TAIL_REL_TOL = 1e-18
+TAIL_MAX_TERMS = 200_000
 
 
 def _trim(coeffs) -> tuple[float, ...]:
@@ -255,21 +257,19 @@ def exp_factor(coefficient: float, degree: int) -> ExpPolySeries:
     return ExpPolySeries(coefficient=1.0, power=0.0, exponent_poly=tuple(q))
 
 
-def tail_sum(
-    series: ExpPolySeries, after: int, rel_tol: float = 1e-18, max_terms: int = 200_000
-) -> float:
+def tail_sum(series: ExpPolySeries, after: int) -> float:
     """Numeric tail sum_{n > after} term(n) of a certified convergent series.
 
     The tail is summed by the rule of ``partial_sums`` until a term falls
-    below ``rel_tol`` times the running sum; a tail that has not settled
-    within ``max_terms`` terms raises ``ValueError`` rather than return a
-    truncated value.
+    below ``TAIL_REL_TOL`` times the running sum; a tail that has not
+    settled within ``TAIL_MAX_TERMS`` terms raises ``ValueError`` rather
+    than return a truncated value.
     """
     if classify(series).verdict != "convergent":
         raise ValueError("tail_sum requires a certified convergent series")
     first = max(after, 0) + 1
-    terms, summed = tee(map(series.term, range(first, first + max_terms)))
+    terms, summed = tee(map(series.term, range(first, first + TAIL_MAX_TERMS)))
     for t, total in zip(terms, _running_sums(summed)):
-        if abs(t) <= rel_tol * abs(total):
+        if abs(t) <= TAIL_REL_TOL * abs(total):
             return total
-    raise ValueError(f"tail after index {after} has not settled within {max_terms} terms")
+    raise ValueError(f"tail after index {after} has not settled within {TAIL_MAX_TERMS} terms")

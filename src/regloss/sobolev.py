@@ -17,7 +17,6 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,15 +25,11 @@ from .fields import Cube, GeometryError, Grid, ScalarField, VectorField
 
 __all__ = [
     "UnsupportedIndexError",
-    "SobolevIndex",
-    "NormValue",
     "sphere_surface_area",
     "grid_lp_norm",
     "hs_norm",
     "wsp_norm",
     "gagliardo_seminorm",
-    "rescaled_norm",
-    "interpolation_bound",
     "orthogonality_lower_bound",
 ]
 
@@ -44,31 +39,6 @@ ZERO_MEAN_TOL = 1e-10
 
 class UnsupportedIndexError(ValueError):
     """Sobolev index outside the range the operation supports."""
-
-
-@dataclass(frozen=True)
-class SobolevIndex:
-    """Order s and integrability p (p = 2 for the Hilbert-scale norms)."""
-
-    s: float
-    p: float = 2.0
-
-    def __post_init__(self):
-        if not (1.0 < self.p < math.inf):
-            raise UnsupportedIndexError(f"integrability must lie in (1, inf), got {self.p}")
-
-
-@dataclass(frozen=True)
-class NormValue:
-    """A nonnegative norm value tagged with its index and evaluation method."""
-
-    value: float
-    index: SobolevIndex
-    method: str  # multiplier | gagliardo
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("norms are nonnegative")
 
 
 def sphere_surface_area(d: int) -> float:
@@ -91,13 +61,12 @@ def _zero_mode_mass_ok(c0: complex, l2: float) -> bool:
     return abs(c0) <= ZERO_MEAN_TOL * max(l2, 1e-300)
 
 
-def hs_norm(field: ScalarField, s: float) -> NormValue:
+def hs_norm(field: ScalarField, s: float) -> float:
     """Homogeneous L2-Sobolev norm of order s via the |xi|^s multiplier.
 
     s = 0 reduces exactly to the L2 norm (zero mode included); s < 0 with
     nonzero mean returns the distinguished value +inf.
     """
-    idx = SobolevIndex(s, 2.0)
     # Fourier coefficients c_k with sum |c_k|^2 = ||f||_{L^2}^2
     c = np.fft.fftn(field.values)
     c *= _parseval_scale(field.grid)
@@ -106,23 +75,24 @@ def hs_norm(field: ScalarField, s: float) -> NormValue:
     del c
     l2 = math.sqrt(float(np.sum(energy)))
     if s == 0.0:
-        return NormValue(l2, idx, "multiplier")
+        return l2
     if s < 0 and not _zero_mode_mass_ok(c0, l2):
-        return NormValue(math.inf, idx, "multiplier")
+        return math.inf
     xi = field.grid.xi_magnitude()
     mask = xi > 0
     total = float(np.sum(xi[mask] ** (2.0 * s) * energy[mask]))
-    return NormValue(math.sqrt(total), idx, "multiplier")
+    return math.sqrt(total)
 
 
-def wsp_norm(field: ScalarField | VectorField, s: float, p: float) -> NormValue:
+def wsp_norm(field: ScalarField | VectorField, s: float, p: float) -> float:
     """Homogeneous Sobolev norm of order s in L^p via the Fourier multiplier.
 
     p must lie in (1, inf); p = 2 agrees with hs_norm.  Vector fields take
     the l2 combination of the component norms; at s < 0 a component with
     mass at the zero mode makes the norm +inf.
     """
-    idx = SobolevIndex(s, p)
+    if not 1.0 < p < math.inf:
+        raise UnsupportedIndexError(f"integrability must lie in (1, inf), got {p}")
     grid = field.grid
     components = field.components if isinstance(field, VectorField) else (field.values,)
     if s != 0.0:
@@ -137,18 +107,17 @@ def wsp_norm(field: ScalarField | VectorField, s: float, p: float) -> NormValue:
         if s < 0:
             l2 = scale * math.sqrt(float(np.sum(np.abs(fhat) ** 2)))
             if not _zero_mode_mass_ok(scale * fhat[(0,) * grid.dimension], l2):
-                return NormValue(math.inf, idx, "multiplier")
+                return math.inf
         if s != 0.0:
             fhat *= mult
         norms.append(grid_lp_norm(np.fft.ifftn(fhat).real, grid, p))
     # a scalar's norm is returned as measured, without a square-and-root round trip
-    value = norms[0] if len(norms) == 1 else math.sqrt(sum(n**2 for n in norms))
-    return NormValue(value, idx, "multiplier")
+    return norms[0] if len(norms) == 1 else math.sqrt(sum(n**2 for n in norms))
 
 
 def gagliardo_seminorm(
     field: ScalarField, orders: Sequence[float], within: Cube | None = None
-) -> list[NormValue]:
+) -> list[float]:
     """Double-sum Gagliardo seminorms over grid pairs, one per order in (0, 1).
 
     Direct summation of |f(x)-f(y)|^2 / dist(x,y)^(d+2s) * h^(2d) over all
@@ -197,29 +166,8 @@ def gagliardo_seminorm(
         total = 0.0
         for dist2, sq in sums:
             total += dist2 ** (0.5 * exponent) * sq
-        out.append(NormValue(math.sqrt(total * h ** (2 * d)), SobolevIndex(s, 2.0), "gagliardo"))
+        out.append(math.sqrt(total * h ** (2 * d)))
     return out
-
-
-def rescaled_norm(base: NormValue, lam: float, d: int) -> NormValue:
-    """Norm of x -> f(x/lam) from the norm of f: multiply by lam^(d/p - s)."""
-    if not lam > 0:
-        raise ValueError(f"rescaling factor must be positive, got {lam}")
-    factor = lam ** (d / base.index.p - base.index.s)
-    return NormValue(base.value * factor, base.index, base.method)
-
-
-def interpolation_bound(n1: NormValue, n2: NormValue, s: float) -> float:
-    """Convexity bound ||f||_s <= ||f||_{s1}^theta * ||f||_{s2}^(1-theta).
-
-    theta solves s = theta*s1 + (1-theta)*s2 and s must lie strictly
-    between the two input orders.
-    """
-    s1, s2 = n1.index.s, n2.index.s
-    if not s1 < s < s2:
-        raise ValueError(f"order {s} must lie strictly between {s1} and {s2}")
-    theta = (s2 - s) / (s2 - s1)
-    return n1.value**theta * n2.value ** (1.0 - theta)
 
 
 def orthogonality_lower_bound(

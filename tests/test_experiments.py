@@ -60,6 +60,20 @@ def test_certify_total_bundle():
     assert others and all(c.holds for c in others)
 
 
+def test_certify_total_certifies_the_dimensions_it_is_given():
+    config = _fast_certify_config(
+        dimension=4, construction_dimension=5, datum_center=[0.5, 0.5, 0.5, 0.5]
+    )
+    bundle = run_experiment(config)
+    assert sorted(bundle.tables) == ["blowup_sweep_d4", "blowup_sweep_d5"]
+    dimensions = [c.params["schedule"]["dimension"] for c in bundle.certificates]
+    assert sorted(set(dimensions)) == [4, 5]
+    blowups = [c for c in bundle.certificates if c.condition.value == "D"]
+    assert len(blowups) == 2 * 3 * 2 and all(c.verdict == "divergent" for c in blowups)
+    others = [c for c in bundle.certificates if c.condition.value != "D"]
+    assert others and all(c.holds for c in others)
+
+
 def test_certify_partial_bundle():
     config = ExperimentConfig.from_dict(
         {"mode": "certify-partial", "rate_b": 0.9, "rate_c": 0.9}

@@ -140,8 +140,8 @@ def test_inverse_round_trip_within_interpolation_error():
     mid = exact_solution_at(datum, fwd, 0.5)
     back = exact_solution_at(mid, fwd.inverse(), 0.5)
     rel = (
-        hs_norm(ScalarField(g, back.values - datum.values), 0.0).value
-        / hs_norm(datum, 0.0).value
+        hs_norm(ScalarField(g, back.values - datum.values), 0.0)
+        / hs_norm(datum, 0.0)
     )
     assert rel < 1e-6
 
@@ -150,10 +150,10 @@ def test_conservation_gentle_protocol():
     g = Grid(2, 128)
     datum = demean(make_bump(g, (0.5, 0.5), 0.125, 1.0))
     flow = build_mixing_protocol(5, 2.5, 0.125, 1.2)
-    l2_0 = hs_norm(datum, 0.0).value
+    l2_0 = hs_norm(datum, 0.0)
     for t in flow.start_times():
         state = exact_solution_at(datum, flow, t)
-        assert abs(hs_norm(state, 0.0).value - l2_0) / l2_0 < 1e-3
+        assert abs(hs_norm(state, 0.0) - l2_0) / l2_0 < 1e-3
         assert abs(float(state.values.mean()) - float(datum.values.mean())) < 1e-5
 
 
@@ -172,8 +172,8 @@ def test_semi_lagrangian_matches_exact_map_single_step():
     exact = exact_solution_at(datum, flow, 0.125)
     sl = advect_semi_lagrangian(datum, flow, dt=0.125 / 64, steps=64)
     rel = (
-        hs_norm(ScalarField(g, sl.values - exact.values), 0.0).value
-        / hs_norm(exact, 0.0).value
+        hs_norm(ScalarField(g, sl.values - exact.values), 0.0)
+        / hs_norm(exact, 0.0)
     )
     assert rel < 1e-3
 
@@ -305,18 +305,17 @@ def test_velocity_norm_series_constant_across_steps():
     g = Grid(2, 256)
     flow = build_mixing_protocol(9, 1.0, 0.125, 1.7)
     times = [0.0, 0.2, 0.4, 0.6, 0.9]
-    series = velocity_norm_series(flow, 1.0, 2.0, times, g)
-    values = [nv.value for nv in series]
+    values = velocity_norm_series(flow, 1.0, 2.0, times, g)
     assert max(values) - min(values) < 1e-10 * max(values)
 
 
 def test_velocity_norm_series_l2_closed_form():
     g = Grid(2, 128)
     flow = build_mixing_protocol(9, 0.5, 0.125, 1.7)
-    nv = velocity_norm_series(flow, 0.0, 2.0, [0.0], g)[0]
-    assert nv.value == pytest.approx(1.7 / math.sqrt(2), rel=1e-12)
-    nv4 = velocity_norm_series(flow, 0.0, 4.0, [0.0], g)[0]
-    assert nv4.value <= 1.7 + 1e-12
+    l2 = velocity_norm_series(flow, 0.0, 2.0, [0.0], g)[0]
+    assert l2 == pytest.approx(1.7 / math.sqrt(2), rel=1e-12)
+    l4 = velocity_norm_series(flow, 0.0, 4.0, [0.0], g)[0]
+    assert l4 <= 1.7 + 1e-12
 
 
 def test_velocity_growth_rate_fit_on_scheduled_amplitudes():
@@ -329,7 +328,7 @@ def test_velocity_growth_rate_fit_on_scheduled_amplitudes():
     flow = FlowMap(steps)
     times = [0.25 * i for i in range(12)]
     series = velocity_norm_series(flow, 2.0, 2.0, times, g)
-    fit = fit_exponential_rate(times, [nv.value for nv in series])
+    fit = fit_exponential_rate(times, series)
     assert fit.rate == pytest.approx(growth, rel=1e-9)
     assert fit.rate > 0
 
@@ -365,8 +364,8 @@ def test_gronwall_single_mode_equality():
     x = g.coordinates()
     f = ScalarField(g, np.sin(2 * np.pi * x[0]))
     for s in (0.3, 1.0):
-        bound = gronwall_lower_bound(hs_norm(f, 0.0).value, hs_norm(f, -s).value)
-        assert hs_norm(f, s).value == pytest.approx(bound, rel=1e-12)
+        bound = gronwall_lower_bound(hs_norm(f, 0.0), hs_norm(f, -s))
+        assert hs_norm(f, s) == pytest.approx(bound, rel=1e-12)
 
 
 def test_norm_history_positive_orders_unaffected_by_demeaning():
@@ -376,7 +375,7 @@ def test_norm_history_positive_orders_unaffected_by_demeaning():
     history = norm_history(flow, datum, [0.5], flow.start_times())
     for t, demeaned in zip(flow.start_times(), history[0.5]):
         state = exact_solution_at(datum, flow, t)
-        assert demeaned == pytest.approx(hs_norm(state, 0.5).value, rel=1e-12)
+        assert demeaned == pytest.approx(hs_norm(state, 0.5), rel=1e-12)
 
 
 ORDERS = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -397,7 +396,7 @@ def test_norm_history_equals_a_serial_loop(count):
     for t in times:
         state = demean(exact_solution_at(datum, flow, t))
         for s in ORDERS:
-            serial[s].append(hs_norm(state, s).value)
+            serial[s].append(hs_norm(state, s))
     history = norm_history(flow, datum, ORDERS, times)
     assert {s: [v.hex() for v in vs] for s, vs in history.items()} == {
         s: [v.hex() for v in vs] for s, vs in serial.items()
@@ -509,9 +508,9 @@ def test_three_dimensional_transport_conserves_mass():
     flow = build_mixing_protocol(4, 0.75, 0.125, 1.0, dimension=3)
     axes = {(s.axis, s.transverse) for s in flow.steps}
     assert all(a != t for a, t in axes)
-    l2_0 = hs_norm(datum, 0.0).value
+    l2_0 = hs_norm(datum, 0.0)
     state = exact_solution_at(datum, flow, 0.75)
-    assert abs(hs_norm(state, 0.0).value - l2_0) / l2_0 < 1e-3
+    assert abs(hs_norm(state, 0.0) - l2_0) / l2_0 < 1e-3
     round_trip = FlowMap(flow.steps + flow.inverse().steps)
     back = exact_solution_at(datum, round_trip, 1.5)
     assert np.max(np.abs(back.values - datum.values)) < 1e-12

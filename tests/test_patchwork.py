@@ -17,7 +17,6 @@ from regloss import (
     UnsupportedScheduleError,
     blowup_time,
     build_mixing_protocol,
-    cube_distance_to_complement,
     demean,
     evaluate_condition,
     evaluate_truncated_solution,
@@ -102,14 +101,6 @@ def test_place_cubes_requires_summable_scales():
     )
     with pytest.raises(InfeasiblePlacementError):
         place_cubes(sch, 3)
-
-
-def test_piece_support_distance_to_cube_complement():
-    sch = total_loss_schedule()
-    for n, host in enumerate(place_cubes(sch, 7), start=1):
-        lam_n = sch.lam.term(n)
-        data_cube = Cube(host.center, lam_n)
-        assert cube_distance_to_complement(data_cube, host) == pytest.approx(lam_n, rel=1e-12)
 
 
 def test_blowup_condition_always_divergent_for_positive_times():
@@ -216,7 +207,7 @@ def test_lower_bound_single_term():
     sch = total_loss_schedule()
     constants = _constants()
     s, t, d = 0.5, 0.1, 2
-    total = hs_lower_bound_partial_sums(sch, s, t, 1, constants, d)[-1]
+    total = hs_lower_bound_partial_sums(sch, s, t, 1, constants)[-1]
     c_s = constants.l2_norm**2 / 0.03
     gamma1, lam1 = math.exp(-1.0), math.exp(-1.0)
     expected = gamma1**2 * lam1 ** (d - 2 * s) * (
@@ -227,14 +218,14 @@ def test_lower_bound_single_term():
 
 def test_lower_bound_bounded_at_time_zero():
     sch = total_loss_schedule()
-    sums = hs_lower_bound_partial_sums(sch, 0.5, 0.0, 100, _constants(), 2)
+    sums = hs_lower_bound_partial_sums(sch, 0.5, 0.0, 100, _constants())
     assert all(math.isfinite(v) for v in sums)
     assert abs(sums[99] - sums[49]) < 1e-12
 
 
 def test_lower_bound_saturates_rather_than_overflowing():
     sch = total_loss_schedule()
-    value = hs_lower_bound_partial_sums(sch, 0.5, 10.0, 40, _constants(), 2)[-1]
+    value = hs_lower_bound_partial_sums(sch, 0.5, 10.0, 40, _constants())[-1]
     assert value == math.inf
 
 
@@ -243,14 +234,9 @@ def test_lower_bound_overflow_keeps_sign_without_nan():
     # parts overflow; the negative part has the larger log_term
     for horizon, decay_prefactor in ((3.0, 1.0), (5.0, 0.03)):
         sch = partial_loss_schedule(3, 2.0, 2.0, 0.3, horizon, 1.0, 1.0)
-        sums = hs_lower_bound_partial_sums(sch, 0.5, 0.0, 300, _constants(decay_prefactor), 3)
+        sums = hs_lower_bound_partial_sums(sch, 0.5, 0.0, 300, _constants(decay_prefactor))
         assert not any(math.isnan(v) for v in sums)
         assert sums[-1] == -math.inf
-
-
-def test_lower_bound_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        hs_lower_bound_partial_sums(total_loss_schedule(), 0.5, 0.0, 5, _constants(), 3)
 
 
 def _window(sch, count):
@@ -282,17 +268,15 @@ def test_truncated_solution_single_piece(base_pair):
 
 
 def test_single_piece_norm_follows_rescaling_chain(base_pair):
-    from regloss import rescaled_norm
-
     grid, datum, flow = base_pair
     sch = total_loss_schedule(dimension=2)
     cube1 = place_cubes(sch, 1)[0]
     wgrid = Grid(2, 256, cube1.side)
     theta = evaluate_truncated_solution(sch, flow, datum, 1, 0.0, cube1, wgrid)
-    lam1, gam1 = sch.lam.term(1), sch.gamma.term(1)
+    lam1, gam1, d = sch.lam.term(1), sch.gamma.term(1), 2
     for sigma in (0.25, 0.5, 0.75):
-        predicted = gam1 * rescaled_norm(hs_norm(datum, sigma), lam1, 2).value
-        measured = hs_norm(theta, sigma).value
+        predicted = gam1 * (hs_norm(datum, sigma) * lam1 ** (d / 2 - sigma))
+        measured = hs_norm(theta, sigma)
         # window resampling and the piece-boundary backdrop cost ~1e-2
         assert measured == pytest.approx(predicted, rel=2e-2)
 
@@ -336,12 +320,12 @@ def test_truncated_solution_initial_norm_triangle_bound(base_pair):
     wgrid = Grid(2, 256, window.side)
     sigma = 0.5
     theta0 = evaluate_truncated_solution(sch, flow, datum, 3, 0.0, window, wgrid)
-    datum_norm = hs_norm(datum, sigma).value
+    datum_norm = hs_norm(datum, sigma)
     triangle = sum(
         sch.gamma.term(n) * sch.lam.term(n) ** (1.0 - sigma) * datum_norm
         for n in (1, 2, 3)
     )
-    assert hs_norm(theta0, sigma).value <= triangle * (1 + 0.05)
+    assert hs_norm(theta0, sigma) <= triangle * (1 + 0.05)
 
 
 def test_truncated_solution_guards(base_pair):

@@ -6,17 +6,13 @@ import pytest
 from regloss import (
     Cube,
     Grid,
-    NormValue,
     ScalarField,
-    SobolevIndex,
     UnsupportedIndexError,
     demean,
     gagliardo_seminorm,
     hs_norm,
-    interpolation_bound,
     make_bump,
     orthogonality_lower_bound,
-    rescaled_norm,
     sphere_surface_area,
     wsp_norm,
 )
@@ -37,30 +33,30 @@ def single_mode(grid):
 def test_single_mode_closed_form(single_mode):
     for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
         want = (2 * math.pi) ** s / math.sqrt(2)
-        assert hs_norm(single_mode, s).value == pytest.approx(want, rel=1e-12)
+        assert hs_norm(single_mode, s) == pytest.approx(want, rel=1e-12)
 
 
 def test_zero_field_any_order(grid):
     zero = ScalarField(grid, np.zeros(grid.shape))
     for s in (-1.0, 0.0, 0.7, 2.0):
-        assert hs_norm(zero, s).value == 0.0
+        assert hs_norm(zero, s) == 0.0
 
 
 def test_order_zero_is_l2_even_with_mean(grid):
     b = make_bump(grid, (0.5, 0.5), 0.2, 1.0)
     direct = math.sqrt(float(np.sum(b.values**2)) * grid.spacing**2)
-    assert hs_norm(b, 0.0).value == pytest.approx(direct, rel=1e-12)
+    assert hs_norm(b, 0.0) == pytest.approx(direct, rel=1e-12)
 
 
 def test_negative_order_requires_zero_mean(grid):
     b = make_bump(grid, (0.5, 0.5), 0.2, 1.0)
-    assert math.isinf(hs_norm(b, -1.0).value)
-    assert math.isfinite(hs_norm(demean(b), -1.0).value)
+    assert math.isinf(hs_norm(b, -1.0))
+    assert math.isfinite(hs_norm(demean(b), -1.0))
 
 
 def test_negative_order_poisson_oracle(grid):
     f = demean(make_bump(grid, (0.5, 0.5), 0.2, 1.0))
-    measured = hs_norm(f, -1.0).value
+    measured = hs_norm(f, -1.0)
     fhat = np.fft.fftn(f.values)
     xi = grid.xi_magnitude()
     inv = np.zeros_like(xi)
@@ -80,10 +76,27 @@ def test_wsp_matches_hs_at_p2(grid, single_mode):
     cases = [(f, s) for f in (single_mode, b) for s in (0.0, 0.5, 1.0)]
     cases += [(demean(b), s) for s in (-1.0, -0.5)]
     for f, s in cases:
-        assert wsp_norm(f, s, 2.0).value == pytest.approx(hs_norm(f, s).value, rel=1e-10)
-    assert wsp_norm(single_mode, 2.0, 2.0).value == pytest.approx(
+        assert wsp_norm(f, s, 2.0) == pytest.approx(hs_norm(f, s), rel=1e-10)
+    assert wsp_norm(single_mode, 2.0, 2.0) == pytest.approx(
         (2 * math.pi) ** 2 / math.sqrt(2), rel=1e-12
     )
+
+
+def test_norms_are_builtin_floats(grid, single_mode):
+    from regloss import VectorField, build_mixing_protocol, velocity_norm_series
+
+    b = make_bump(grid, (0.5, 0.5), 0.2, 1.0)
+    shear = VectorField(grid, (single_mode.values, np.zeros(grid.shape)))
+    values = [hs_norm(b, s) for s in (0.0, 0.5)]
+    values += [wsp_norm(f, s, p) for f in (b, shear) for s in (0.0, 1.0) for p in (2.0, 4.0)]
+    values += gagliardo_seminorm(make_bump(Grid(2, 16), (0.5, 0.5), 0.3, 1.0), [0.25, 0.75])
+    flow = build_mixing_protocol(9, 0.5, 0.125, 1.7)
+    values += velocity_norm_series(flow, 1.0, 2.0, [0.0, 0.3], Grid(2, 32))
+    # a nonzero mean at a negative order gives +inf, also a float
+    infinite = [hs_norm(b, -1.0), wsp_norm(b, -1.0, 2.0)]
+    assert all(math.isinf(v) for v in infinite)
+    values += infinite
+    assert all(type(v) is float for v in values), [type(v) for v in values]
 
 
 def test_wsp_index_validation(single_mode):
@@ -92,12 +105,12 @@ def test_wsp_index_validation(single_mode):
     with pytest.raises(UnsupportedIndexError):
         wsp_norm(single_mode, 1.0, math.inf)
     with pytest.raises(UnsupportedIndexError):
-        SobolevIndex(1.0, 0.5)
+        wsp_norm(single_mode, 1.0, 0.5)
 
 
 def test_wsp_refined_grid_oracle():
-    coarse = wsp_norm(make_bump(Grid(2, 256), (0.5, 0.5), 0.25, 1.0), 1.0, 4.0).value
-    fine = wsp_norm(make_bump(Grid(2, 512), (0.5, 0.5), 0.25, 1.0), 1.0, 4.0).value
+    coarse = wsp_norm(make_bump(Grid(2, 256), (0.5, 0.5), 0.25, 1.0), 1.0, 4.0)
+    fine = wsp_norm(make_bump(Grid(2, 512), (0.5, 0.5), 0.25, 1.0), 1.0, 4.0)
     assert coarse == pytest.approx(fine, rel=1e-4)
 
 
@@ -109,28 +122,28 @@ def test_wsp_vector_l2_combination(grid):
     vec = VectorField(grid, (shear, np.zeros(grid.shape)))
     scalar = ScalarField(grid, shear)
     for s in (1.0, -1.0):
-        assert wsp_norm(vec, s, 2.0).value == pytest.approx(
-            wsp_norm(scalar, s, 2.0).value, rel=1e-12
+        assert wsp_norm(vec, s, 2.0) == pytest.approx(
+            wsp_norm(scalar, s, 2.0), rel=1e-12
         )
     # the zero-mean rule of negative orders applies to each component
     const = np.ones(grid.shape)
     with_mean = VectorField(grid, (shear, const))
-    assert math.isinf(wsp_norm(ScalarField(grid, const), -1.0, 2.0).value)
-    assert math.isinf(wsp_norm(with_mean, -1.0, 2.0).value)
+    assert math.isinf(wsp_norm(ScalarField(grid, const), -1.0, 2.0))
+    assert math.isinf(wsp_norm(with_mean, -1.0, 2.0))
 
 
 def test_gagliardo_zero_field():
     g = Grid(2, 16)
     zero = ScalarField(g, np.zeros(g.shape))
-    assert gagliardo_seminorm(zero, [0.5])[0].value == 0.0
+    assert gagliardo_seminorm(zero, [0.5])[0] == 0.0
 
 
 def test_gagliardo_translation_invariance():
     g = Grid(2, 32)
     b = make_bump(g, (0.5, 0.5), 0.2, 1.0)
-    shifted = b.shifted((3, 5))
-    a = gagliardo_seminorm(b, [0.5])[0].value
-    c = gagliardo_seminorm(shifted, [0.5])[0].value
+    shifted = ScalarField(g, np.roll(b.values, (3, 5), axis=(0, 1)))
+    a = gagliardo_seminorm(b, [0.5])[0]
+    c = gagliardo_seminorm(shifted, [0.5])[0]
     assert a == pytest.approx(c, rel=1e-12)
 
 
@@ -163,17 +176,15 @@ def test_gagliardo_values_are_bit_identical_to_the_one_order_sum(points):
     b = make_bump(Grid(2, points), (0.9, 0.2), 0.3, 1.0)
     for within, want in zip((None, EDGE_WINDOW), GOLDEN[points]):
         got = gagliardo_seminorm(b, GOLDEN_ORDERS, within=within)
-        assert [nv.value.hex() for nv in got] == list(want)
-        assert [nv.index.s for nv in got] == list(GOLDEN_ORDERS)
-        assert all(nv.method == "gagliardo" for nv in got)
+        assert [value.hex() for value in got] == list(want)
 
 
 def test_gagliardo_one_call_equals_one_call_per_order():
     b = make_bump(Grid(2, 16), (0.3, 0.6), 0.25, 1.0)
     orders = (0.7, 0.2, 0.7, 0.45)
     for within in (None, EDGE_WINDOW):
-        together = [nv.value for nv in gagliardo_seminorm(b, orders, within=within)]
-        alone = [gagliardo_seminorm(b, [s], within=within)[0].value for s in orders]
+        together = gagliardo_seminorm(b, orders, within=within)
+        alone = [gagliardo_seminorm(b, [s], within=within)[0] for s in orders]
         assert together == alone
     assert gagliardo_seminorm(b, []) == []
 
@@ -242,14 +253,14 @@ def test_gagliardo_shifted_views_equal_the_rolled_copies(d, points, window):
     for i, c in enumerate(window.center):
         inside &= np.abs(g.min_image(coords[i] - c)) <= window.half + 1e-12
     for within, mask in ((None, None), (window, inside.astype(float))):
-        got = [nv.value for nv in gagliardo_seminorm(b, GOLDEN_ORDERS, within=within)]
+        got = gagliardo_seminorm(b, GOLDEN_ORDERS, within=within)
         assert got == _rolled_gagliardo(b, GOLDEN_ORDERS, mask)
 
 
 def test_gagliardo_multiplier_ratio_constant_at_half(bump_corpus):
     grid, bumps = bump_corpus
     ratios = [
-        gagliardo_seminorm(b, [0.5])[0].value / hs_norm(b, 0.5).value for b in bumps
+        gagliardo_seminorm(b, [0.5])[0] / hs_norm(b, 0.5) for b in bumps
     ]
     assert (max(ratios) - min(ratios)) / min(ratios) < 0.02
 
@@ -260,9 +271,9 @@ def test_gagliardo_multiplier_simultaneous_positivity(bump_corpus):
     ratios = {s: [] for s in orders}
     for b in bumps:
         for s, gag in zip(orders, gagliardo_seminorm(b, orders)):
-            mult = hs_norm(b, s).value
-            assert (gag.value > 0) == (mult > 0)
-            ratios[s].append(gag.value / mult)
+            mult = hs_norm(b, s)
+            assert (gag > 0) == (mult > 0)
+            ratios[s].append(gag / mult)
     # the equivalence factor stays inside a fixed interval on the corpus
     for r in ratios.values():
         assert (max(r) - min(r)) / min(r) < 0.10
@@ -270,66 +281,43 @@ def test_gagliardo_multiplier_simultaneous_positivity(bump_corpus):
 
 def test_monotone_in_order_for_unit_l2_mean_zero(grid):
     f = demean(make_bump(grid, (0.5, 0.5), 0.15, 1.0))
-    scale = hs_norm(f, 0.0).value
+    scale = hs_norm(f, 0.0)
     f = ScalarField(grid, f.values / scale)
     previous = 0.0
     for s in (0.0, 0.25, 0.5, 1.0, 2.0):
-        value = hs_norm(f, s).value
+        value = hs_norm(f, s)
         assert value >= previous - 1e-12
         previous = value
-
-
-def test_rescaled_norm_identity_and_critical():
-    nv = NormValue(3.0, SobolevIndex(0.5, 2.0), "multiplier")
-    assert rescaled_norm(nv, 1.0, 2).value == 3.0
-    critical = NormValue(3.0, SobolevIndex(1.0, 2.0), "multiplier")
-    assert rescaled_norm(critical, 0.37, 2).value == pytest.approx(3.0, rel=1e-15)
-
-
-def test_rescaled_norm_group_action():
-    nv = NormValue(2.0, SobolevIndex(0.25, 2.0), "multiplier")
-    once = rescaled_norm(rescaled_norm(nv, 0.5, 2), 0.25, 2).value
-    direct = rescaled_norm(nv, 0.125, 2).value
-    assert once == pytest.approx(direct, rel=1e-15)
-
-
-def test_rescaled_norm_validation():
-    nv = NormValue(1.0, SobolevIndex(0.5, 2.0), "multiplier")
-    with pytest.raises(ValueError):
-        rescaled_norm(nv, 0.0, 2)
 
 
 def test_rescale_and_measure_on_grid(grid):
     f1 = dipole(grid, (0.5, 0.5), 0.07, 0.06)
     f2 = dipole(grid, (0.5, 0.5), 0.035, 0.03)
+    lam, d = 0.5, 2
     for s in (0.25, 0.5, 0.75):
-        predicted = rescaled_norm(hs_norm(f1, s), 0.5, 2).value
-        assert hs_norm(f2, s).value == pytest.approx(predicted, rel=1e-3)
+        predicted = hs_norm(f1, s) * lam ** (d / 2 - s)
+        assert hs_norm(f2, s) == pytest.approx(predicted, rel=1e-3)
 
 
 def test_interpolation_bound_single_mode_equality(single_mode):
-    bound = interpolation_bound(
-        hs_norm(single_mode, -0.5), hs_norm(single_mode, 1.5), 0.5
-    )
-    assert hs_norm(single_mode, 0.5).value == pytest.approx(bound, rel=1e-12)
+    n1, n2, theta = hs_norm(single_mode, -0.5), hs_norm(single_mode, 1.5), 0.5
+    bound = n1**theta * n2 ** (1 - theta)
+    assert hs_norm(single_mode, 0.5) == pytest.approx(bound, rel=1e-12)
 
 
 def test_interpolation_bound_l2_between_dual_orders(grid):
     f = demean(make_bump(grid, (0.5, 0.5), 0.2, 1.0))
-    bound = interpolation_bound(hs_norm(f, -0.5), hs_norm(f, 0.5), 0.0)
-    assert hs_norm(f, 0.0).value <= bound * (1 + 1e-12)
+    n1, n2, theta = hs_norm(f, -0.5), hs_norm(f, 0.5), 0.5
+    bound = n1**theta * n2 ** (1 - theta)
+    assert hs_norm(f, 0.0) <= bound * (1 + 1e-12)
 
 
 def test_interpolation_bound_two_mode_strict_gap(grid):
     x = grid.coordinates()
     f = ScalarField(grid, np.sin(2 * np.pi * x[0]) + np.sin(8 * np.pi * x[0]))
-    bound = interpolation_bound(hs_norm(f, 0.0), hs_norm(f, 1.0), 0.5)
-    assert bound - hs_norm(f, 0.5).value > 1e-3
-
-
-def test_interpolation_bound_range_validation(single_mode):
-    with pytest.raises(ValueError):
-        interpolation_bound(hs_norm(single_mode, 0.0), hs_norm(single_mode, 1.0), 1.5)
+    n1, n2, theta = hs_norm(f, 0.0), hs_norm(f, 1.0), 0.5
+    bound = n1**theta * n2 ** (1 - theta)
+    assert bound - hs_norm(f, 0.5) > 1e-3
 
 
 def test_sphere_surface_area():
@@ -353,10 +341,10 @@ def test_orthogonality_bound_against_direct_double_sum():
     total = ScalarField(g, b1.values + b2.values)
     orders = (0.25, 0.5, 0.75)
     direct = gagliardo_seminorm(total, orders)
-    per_piece = [(gagliardo_seminorm(b, orders), hs_norm(b, 0.0).value ** 2) for b in (b1, b2)]
+    per_piece = [(gagliardo_seminorm(b, orders), hs_norm(b, 0.0) ** 2) for b in (b1, b2)]
     for i, s in enumerate(orders):
-        pieces = [(gag[i].value ** 2, l2_sq, 0.15) for gag, l2_sq in per_piece]
-        assert direct[i].value ** 2 >= orthogonality_lower_bound(pieces, s, 2)
+        pieces = [(gag[i] ** 2, l2_sq, 0.15) for gag, l2_sq in per_piece]
+        assert direct[i] ** 2 >= orthogonality_lower_bound(pieces, s, 2)
 
 
 def test_localization_tail_bound():
@@ -368,6 +356,6 @@ def test_localization_tail_bound():
     local_norms = gagliardo_seminorm(b, orders, within=region)
     for s, glob, local in zip(orders, global_norms, local_norms):
         tail = (
-            sphere_surface_area(2) / s * 0.15 ** (-2 * s) * hs_norm(b, 0.0).value ** 2
+            sphere_surface_area(2) / s * 0.15 ** (-2 * s) * hs_norm(b, 0.0) ** 2
         )
-        assert glob.value**2 <= local.value**2 + tail
+        assert glob**2 <= local**2 + tail
