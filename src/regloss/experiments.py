@@ -17,9 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from .fields import Grid, Cube, demean, make_bump
 from .mixing import (
     FIT_SKIP,
-    PROFILES,
     FlowMap,
-    MixerConstants,
     build_mixing_protocol,
     estimate_mixer_constants,
     exact_solution_at,
@@ -52,6 +50,8 @@ __all__ = [
 
 DEFAULT_S_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DEFAULT_T_GRID = (0.01, 0.1, 1.0)
+# the lower-bound sweep reports the first partial sum above this
+SWEEP_THRESHOLD = 1.0e6
 
 
 class ConfigError(ValueError):
@@ -66,7 +66,6 @@ def _is_number(x) -> bool:
 # nothing is coerced, so a valid config keeps its report bytes
 _FIELD_KINDS = {
     "str": ("a string", lambda v: isinstance(v, str)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "float": ("a finite number", _is_number),
     "float | None": ("a finite number or null", lambda v: v is None or _is_number(v)),
@@ -89,22 +88,16 @@ class ExperimentConfig:
     steps: int = 20
     step_duration: float = 0.125
     amplitude: float = 3.2
-    profile: str = "sine"
-    banded: bool = False
-    # datum
-    datum_center: tuple[float, ...] = (0.5, 0.5)
+    # datum: the unit bump at the cell centre
     datum_radius: float = 0.125
-    datum_amplitude: float = 1.0
     # norm table
     orders: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    integrabilities: tuple[float, ...] = (2.0, 4.0)
     # partial-loss construction
     construction_dimension: int = 3
     r: float = 2.0
     p: float = 2.0
     sigma: float = 1.0
     horizon: float = 1.0
-    alpha_margin: float = 2.0
     rate_b: float | None = None
     rate_c: float | None = None
     threshold_samples: int = 100
@@ -114,7 +107,6 @@ class ExperimentConfig:
     # lower-bound sweep
     sweep_order: float = 0.5
     sweep_time: float = 0.1
-    sweep_threshold: float = 1.0e6
     sweep_max_terms: int = 50
     # truncated solution
     pieces: int = 3
@@ -143,27 +135,25 @@ class ExperimentConfig:
             raise ConfigError(f"steps: must be >= {FIT_SKIP + 2}, got {self.steps}")
         if self.step_duration <= 0:
             raise ConfigError(f"step_duration: must be positive, got {self.step_duration}")
-        if self.profile not in PROFILES:
-            raise ConfigError(f"profile: must be one of {', '.join(PROFILES)}, got {self.profile!r}")
         if not 0 < self.datum_radius < 0.5:
             raise ConfigError(f"datum_radius: must lie in (0, 0.5), got {self.datum_radius}")
-        if len(self.datum_center) != self.dimension:
-            raise ConfigError(
-                f"datum_center: needs {self.dimension} coordinates, got {len(self.datum_center)}"
-            )
         for name in ("rate_b", "rate_c"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{name}: must be positive when set, got {value}")
+        # sweep and solve bound norms with prefactors measured together with
+        # the rates, so a rate given in their place would go unused
+        measured = self.mode in ("lower-bound-sweep", "truncated-solution")
+        if measured and (self.rate_b is not None or self.rate_c is not None):
+            raise ConfigError(
+                "rate_b/rate_c: this mode measures the rates with their prefactors; "
+                "leave the rates unset"
+            )
         # sweep, solve and certify-partial without both rates fit rates on the
-        # seeded protocol, which needs a datum that is not zero and a flow that moves it
+        # seeded protocol, which needs a flow that moves the datum
         injected = self.rate_b is not None and self.rate_c is not None
-        if self.mode in ("lower-bound-sweep", "truncated-solution") or (
-            self.mode == "certify-partial" and not injected
-        ):
-            for name in ("amplitude", "datum_amplitude"):
-                if getattr(self, name) == 0:
-                    raise ConfigError(f"{name}: measured rates need a nonzero value, got 0")
+        if self.amplitude == 0 and (measured or (self.mode == "certify-partial" and not injected)):
+            raise ConfigError("amplitude: measured rates need a nonzero value, got 0")
         for name, least in (
             ("construction_dimension", 2), ("threshold_samples", 1),
             ("sweep_max_terms", 1), ("pieces", 1),
@@ -186,11 +176,8 @@ class ExperimentConfig:
         for name in ("sigma", "horizon"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
-        if self.alpha_margin < 1:
-            raise ConfigError(f"alpha_margin: must be >= 1, got {self.alpha_margin}")
-        for name in ("sweep_time", "sweep_threshold"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name}: must be nonnegative, got {getattr(self, name)}")
+        if self.sweep_time < 0:
+            raise ConfigError(f"sweep_time: must be nonnegative, got {self.sweep_time}")
         if not self.solve_times or not all(t >= 0 for t in self.solve_times):
             raise ConfigError(
                 f"solve_times: must be nonempty and nonnegative, got {list(self.solve_times)}"
@@ -206,9 +193,6 @@ class ExperimentConfig:
                 raise ConfigError(f"t_grid: each must be positive, got {t}")
         if len(set(self.orders)) != len(self.orders):
             raise ConfigError(f"orders: must be distinct, got {list(self.orders)}")
-        for p in self.integrabilities:
-            if not 1.0 < p < math.inf:
-                raise ConfigError(f"integrabilities: each must lie in (1, inf), got {p}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -255,7 +239,7 @@ def _fmt(x) -> str:
 
 
 def _datum(config: ExperimentConfig, grid: Grid):
-    bump = make_bump(grid, config.datum_center, config.datum_radius, config.datum_amplitude)
+    bump = make_bump(grid, (0.5,) * grid.dimension, config.datum_radius, 1.0)
     return demean(bump)
 
 
@@ -266,14 +250,12 @@ def _protocol(config: ExperimentConfig) -> FlowMap:
         step_duration=config.step_duration,
         amplitude=config.amplitude,
         dimension=config.dimension,
-        profile=config.profile,
-        banded=config.banded,
     )
 
 
 def _planar(config: ExperimentConfig) -> ExperimentConfig:
     """The config in the plane, where the mixing protocol and its datum live."""
-    return replace(config, dimension=2, datum_center=config.datum_center[:2])
+    return replace(config, dimension=2)
 
 
 def _measured_constants(config: ExperimentConfig, order: float):
@@ -285,22 +267,20 @@ def _measured_constants(config: ExperimentConfig, order: float):
     try:
         constants, _ = estimate_mixer_constants(flow, datum, decay_orders=(order, 1.0))
     except ValueError as exc:
-        # a datum whose norms underflow, or a flow too weak to mix it
-        raise ConfigError(f"datum_amplitude/amplitude: no rates can be measured: {exc}") from exc
+        # a flow too weak to mix the datum
+        raise ConfigError(f"amplitude: no rates can be measured: {exc}") from exc
     return datum, constants
 
 
-def _measured_rates(
-    config: ExperimentConfig, order: float = 0.5
-) -> tuple[float, float, MixerConstants | None]:
+def _measured_rates(config: ExperimentConfig) -> tuple[float, float]:
     """Injected (b, c) when configured, else measured from the seeded protocol."""
     if config.rate_b is not None and config.rate_c is not None:
-        return config.rate_b, config.rate_c, None
-    _, constants = _measured_constants(config, order)
+        return config.rate_b, config.rate_c
+    _, constants = _measured_constants(config, 0.5)
     measured = constants.mixing_rate  # b is not measured: unset, it takes the measured c
     b = config.rate_b if config.rate_b is not None else measured
     c = config.rate_c if config.rate_c is not None else measured
-    return b, c, constants
+    return b, c
 
 
 def _run_mix(config: ExperimentConfig, bundle: ReportBundle) -> None:
@@ -344,9 +324,7 @@ def _run_norms(config: ExperimentConfig, bundle: ReportBundle) -> None:
     rows = []
     for s in config.orders:
         rows.append(("datum", s, 2.0, "multiplier", hs_norm(datum, s)))
-        for p in config.integrabilities:
-            if p != 2.0:
-                rows.append(("datum", s, p, "multiplier", wsp_norm(datum, s, p)))
+        rows.append(("datum", s, 4.0, "multiplier", wsp_norm(datum, s, 4.0)))
         if s in gagliardo:
             rows.append(("datum", s, 2.0, "gagliardo", gagliardo[s]))
     bundle.add_table("norm_table", ["field_id", "s", "p", "method", "value"], rows)
@@ -387,17 +365,14 @@ def _certify_total(config: ExperimentConfig, bundle: ReportBundle) -> None:
 
 
 def _certify_partial(config: ExperimentConfig, bundle: ReportBundle) -> None:
-    b, c, _ = _measured_rates(config)
+    b, c = _measured_rates(config)
     d = config.construction_dimension
-    schedule = partial_loss_schedule(
-        d, config.r, config.p, config.sigma, config.horizon, b, c,
-        alpha_margin=config.alpha_margin,
-    )
+    schedule = partial_loss_schedule(d, config.r, config.p, config.sigma, config.horizon, b, c)
     params = schedule.params
     assumed = " (the measured c, assumed)" if config.rate_b is None else ""
     bundle.note(
         f"rates: b={b:.6g}{assumed} c={c:.6g} (seed {config.seed}); "
-        f"beta={params.beta:.6g} alpha={params.alpha:.6g} (margin {config.alpha_margin:g}); "
+        f"beta={params.beta:.6g} alpha={params.alpha:.6g} (margin 2); "
         f"loss threshold mu_bar={params.mu_bar:.6g}, schedule-effective {params.mu_effective:.6g}"
     )
     bundle.certificates.append(evaluate_condition(schedule, Condition.CUBE_PLACEMENT))
@@ -446,23 +421,18 @@ def _certify_partial(config: ExperimentConfig, bundle: ReportBundle) -> None:
 
 
 def _run_sweep(config: ExperimentConfig, bundle: ReportBundle) -> None:
-    b, c, constants = _measured_rates(config, config.sweep_order)
-    if constants is None:
-        raise ConfigError(
-            "rate_b/rate_c: lower-bound sweep needs measured prefactors; "
-            "leave the rates unset so they can be measured"
-        )
+    _, constants = _measured_constants(config, config.sweep_order)
     schedule = total_loss_schedule(dimension=config.dimension)
     s, t = config.sweep_order, config.sweep_time
     sums = hs_lower_bound_partial_sums(schedule, s, t, config.sweep_max_terms, constants)
     rows = [(n + 1, sums[n]) for n in range(len(sums))]
     bundle.add_table("lower_bound", ["n", "partial_sum"], rows)
     crossing = next(
-        (n + 1 for n, v in enumerate(sums) if v > config.sweep_threshold), None
+        (n + 1 for n, v in enumerate(sums) if v > SWEEP_THRESHOLD), None
     )
     bundle.note(
         f"lower bound at order {s}, t={t}: smallest truncation above "
-        f"{config.sweep_threshold:g} is {crossing}"
+        f"{SWEEP_THRESHOLD:g} is {crossing}"
     )
     rest = hs_lower_bound_partial_sums(schedule, s, 0.0, 100, constants)
     bundle.note(

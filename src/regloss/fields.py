@@ -27,8 +27,6 @@ __all__ = [
     "Cube",
     "ScalarField",
     "VectorField",
-    "smooth_bridge",
-    "radial_cutoff",
     "make_bump",
     "demean",
 ]
@@ -177,26 +175,6 @@ class VectorField:
             return 0.0
         scale = math.sqrt(energy) * float(grid.xi_magnitude().max())
         return math.sqrt(float(np.sum(np.abs(div_hat) ** 2))) / scale
-
-
-def smooth_bridge(t: np.ndarray | float) -> np.ndarray | float:
-    """C-infinity monotone bridge: 0 for t <= 0, 1 for t >= 1."""
-    t_arr = np.asarray(t, dtype=float)
-    g = np.zeros_like(t_arr)
-    np.exp(np.divide(-1.0, t_arr, out=np.full_like(t_arr, -np.inf), where=t_arr > 0), out=g)
-    gm = np.zeros_like(t_arr)
-    om = 1.0 - t_arr
-    np.exp(np.divide(-1.0, om, out=np.full_like(t_arr, -np.inf), where=om > 0), out=gm)
-    with np.errstate(invalid="ignore"):
-        out = g / (g + gm)
-    out = np.where(t_arr <= 0.0, 0.0, out)
-    out = np.where(t_arr >= 1.0, 1.0, out)
-    return out if out.shape else float(out)
-
-
-def radial_cutoff(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
-    """Smooth cutoff of radius: 1 for r <= inner, 0 for r >= outer."""
-    return smooth_bridge((outer - np.asarray(r, dtype=float)) / (outer - inner))
 
 
 def make_bump(grid: Grid, center: tuple[float, ...], radius: float, amplitude: float) -> ScalarField:

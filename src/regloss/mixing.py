@@ -1,6 +1,6 @@
 """Alternating shear mixing on the periodic cell and exact transport.
 
-A mixing protocol is a finite list of steady shear steps.  Each step moves
+A mixing protocol is a finite list of steady sine shears.  Each step moves
 points along one axis by a displacement that depends only on a transverse
 coordinate, so its flow map is exact, exactly invertible, and
 volume-preserving, and the velocity is divergence-free to rounding.
@@ -43,7 +43,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter, spline_filter1d
 
-from .fields import Grid, ScalarField, VectorField, demean, radial_cutoff
+from .fields import Grid, ScalarField, VectorField, demean
 from .sobolev import hs_norm, wsp_norm
 
 __all__ = [
@@ -69,12 +69,6 @@ INTERPOLATION_ORDER = 5
 # samples left out at the start of every rate fit
 FIT_SKIP = 2
 
-# fixed transverse support band: profile * 1 on the central band of width
-# L/2, decaying smoothly to 0 at |y - L/2| = 7L/16
-BAND_INNER = 0.25
-BAND_OUTER = 0.4375
-
-
 class CFLError(ValueError):
     """Time step violates the CFL constraint of the solver configuration."""
 
@@ -83,29 +77,12 @@ class InsufficientDataError(ValueError):
     """Too few samples for the requested fit."""
 
 
-PROFILES = ("sine", "sawtooth-smoothed")
-
-
-def _profile(kind: str, theta: np.ndarray) -> np.ndarray:
-    if kind == "sine":
-        return np.sin(theta)
-    if kind == "sawtooth-smoothed":
-        # low-pass sawtooth: first four Fourier modes with Gaussian damping
-        out = np.zeros_like(theta)
-        for m in range(1, 5):
-            out += (-1.0) ** (m + 1) * math.exp(-0.25 * (m - 1) ** 2) * np.sin(m * theta) / m
-        return (2.0 / math.pi) * out
-    raise ValueError(f"unknown shear profile {kind!r}")
-
-
 @dataclass(frozen=True)
 class ShearStep:
-    """One steady shear: velocity amplitude * profile(2*pi*y/L + phase) along ``axis``.
+    """One steady shear: velocity amplitude * sin(2*pi*y/L + phase) along ``axis``.
 
-    ``y`` is the coordinate along ``transverse``; with ``banded`` set, a
-    fixed smooth cutoff confines the velocity to the central transverse
-    band (identically one on the central band of width L/2), keeping it
-    divergence-free and the characteristics exact.
+    ``y`` is the coordinate along ``transverse``, so the velocity is
+    divergence-free and the characteristics are exact.
     """
 
     axis: int
@@ -113,28 +90,20 @@ class ShearStep:
     amplitude: float
     phase: float
     duration: float
-    profile: str = "sine"
-    banded: bool = False
 
     def __post_init__(self):
         if self.axis == self.transverse:
             raise ValueError("shear axis must differ from the transverse axis")
         if not self.duration > 0:
             raise ValueError(f"step duration must be positive, got {self.duration}")
-        _profile(self.profile, np.zeros(1))
 
     def speed(self, y: np.ndarray, length: float = 1.0) -> np.ndarray:
         """Signed speed along the shear axis as a function of y."""
-        theta = 2.0 * math.pi * y
-        theta /= length
-        theta += self.phase
-        v = _profile(self.profile, theta)
-        del theta
+        v = 2.0 * math.pi * y  # the phase, then the speed, in one array
+        v /= length
+        v += self.phase
+        np.sin(v, out=v)
         v *= self.amplitude
-        if self.banded:
-            # periodic distance from the band center at L/2
-            r = np.abs(np.mod(y, length) - 0.5 * length)
-            v *= radial_cutoff(r / length, BAND_INNER, BAND_OUTER)
         return v
 
     def max_speed(self, length: float = 1.0) -> float:
@@ -212,10 +181,8 @@ def build_mixing_protocol(
     step_duration: float,
     amplitude: float,
     dimension: int = 2,
-    profile: str = "sine",
-    banded: bool = False,
 ) -> FlowMap:
-    """Alternating-axis shear protocol with phases drawn from the seed.
+    """Alternating-axis ``ShearStep`` protocol with phases drawn from the seed.
 
     The amplitude is fixed in time, so the Lipschitz size of the velocity
     is uniform over the protocol; identical seeds yield bit-identical
@@ -239,8 +206,6 @@ def build_mixing_protocol(
                 amplitude=amplitude,
                 phase=float(phases[i]),
                 duration=dt,
-                profile=profile,
-                banded=banded,
             )
         )
         remaining -= dt

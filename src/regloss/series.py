@@ -113,6 +113,14 @@ class Classification:
     reason: str
 
 
+def _by_leading_exponent(q: tuple[float, ...], growing: str, decaying: str) -> Classification:
+    """Verdict from the sign of the leading coefficient of a trimmed, nonempty exponent."""
+    deg, lead = len(q), q[-1]
+    if lead > 0:
+        return Classification(growing, f"leading exponent coefficient q_{deg} = {lead:g} > 0")
+    return Classification(decaying, f"leading exponent coefficient q_{deg} = {lead:g} < 0")
+
+
 def classify(series: ExpPolySeries) -> Classification:
     """Exact convergence verdict for the sum of |term(n)|.
 
@@ -123,17 +131,8 @@ def classify(series: ExpPolySeries) -> Classification:
     """
     if series.coefficient == 0.0:
         return Classification("convergent", "zero coefficient")
-    q = series.exponent_poly
-    if q:
-        lead = q[-1]
-        deg = len(q)
-        if lead > 0:
-            return Classification(
-                "divergent", f"leading exponent coefficient q_{deg} = {lead:g} > 0"
-            )
-        return Classification(
-            "convergent", f"leading exponent coefficient q_{deg} = {lead:g} < 0"
-        )
+    if series.exponent_poly:
+        return _by_leading_exponent(series.exponent_poly, "divergent", "convergent")
     if series.power < -1.0:
         return Classification("convergent", f"p-series with power {series.power:g} < -1")
     return Classification("divergent", f"p-series with power {series.power:g} >= -1")
@@ -143,17 +142,8 @@ def classify_bounded(series: ExpPolySeries) -> Classification:
     """Exact boundedness verdict for the term family itself."""
     if series.coefficient == 0.0:
         return Classification("bounded", "zero coefficient")
-    q = series.exponent_poly
-    if q:
-        lead = q[-1]
-        deg = len(q)
-        if lead > 0:
-            return Classification(
-                "unbounded", f"leading exponent coefficient q_{deg} = {lead:g} > 0"
-            )
-        return Classification(
-            "bounded", f"leading exponent coefficient q_{deg} = {lead:g} < 0"
-        )
+    if series.exponent_poly:
+        return _by_leading_exponent(series.exponent_poly, "unbounded", "bounded")
     if series.power > 0.0:
         return Classification("unbounded", f"power {series.power:g} > 0")
     return Classification("bounded", f"power {series.power:g} <= 0")

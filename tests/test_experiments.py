@@ -61,9 +61,7 @@ def test_certify_total_bundle():
 
 
 def test_certify_total_certifies_the_dimensions_it_is_given():
-    config = _fast_certify_config(
-        dimension=4, construction_dimension=5, datum_center=[0.5, 0.5, 0.5, 0.5]
-    )
+    config = _fast_certify_config(dimension=4, construction_dimension=5)
     bundle = run_experiment(config)
     assert sorted(bundle.tables) == ["blowup_sweep_d4", "blowup_sweep_d5"]
     dimensions = [c.params["schedule"]["dimension"] for c in bundle.certificates]
@@ -199,7 +197,6 @@ def test_norms_mode_table():
             "mode": "norms",
             "grid_points": 64,
             "orders": [0.0, 0.5],
-            "integrabilities": [2.0, 4.0],
         }
     )
     bundle = run_experiment(config)
@@ -300,18 +297,8 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
     config_path.write_text(json.dumps({"rate_b": 1.0, "rate_c": 1.0}))
     no_times = tmp_path / "no_times.json"
     no_times.write_text(json.dumps({"solve_times": []}))
-    p_one = tmp_path / "p_one.json"
-    p_one.write_text(json.dumps({"integrabilities": [1.0]}))
-    margin = tmp_path / "margin.json"
-    margin.write_text(json.dumps({"alpha_margin": 0.5}))
-    profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps({"profile": "foo"}))
     still = tmp_path / "still.json"
     still.write_text(json.dumps({"amplitude": 0}))
-    no_datum = tmp_path / "no_datum.json"
-    no_datum.write_text(json.dumps({"datum_amplitude": 0}))
-    underflow = tmp_path / "underflow.json"
-    underflow.write_text(json.dumps({"datum_amplitude": 1e-300}))
     creeping = tmp_path / "creeping.json"
     creeping.write_text(json.dumps({"amplitude": 1e-12}))
     malformed = tmp_path / "malformed.json"
@@ -324,7 +311,9 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         ("orders", {"orders": 0.5}),
         ("repeated_orders", {"orders": [0.5, 0.5]}),
         ("amplitude", {"amplitude": "3"}),
-        ("banded", {"banded": "no"}),
+        # sweep and solve measure their rates: one injected rate would go unused
+        ("only_b", {"rate_b": 5.0}),
+        ("only_c", {"rate_c": 5.0}),
         ("s_grid", {"s_grid": []}),
         ("t_grid", {"t_grid": []}),
         # non-finite numbers and orders or times out of range
@@ -345,27 +334,27 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
     rates = ["--rate-b", "1", "--rate-c", "1"]
     cases = [
         (["sweep", "--config", str(config_path)], "configuration error: rate_b/rate_c"),
+        (["sweep", "--grid", "64", "--config", str(refused["only_b"])],
+         "configuration error: rate_b/rate_c"),
+        (["sweep", "--grid", "64", "--config", str(refused["only_c"])],
+         "configuration error: rate_b/rate_c"),
+        (["solve", "--grid", "128", "--pieces", "2", "--config", str(refused["only_b"])],
+         "configuration error: rate_b/rate_c"),
+        (["solve", "--grid", "128", "--pieces", "2", "--config", str(refused["only_c"])],
+         "configuration error: rate_b/rate_c"),
         # three pieces need a finer window than 64 points per side
         (["solve", "--grid", "64"], "resolution error: piece 3"),
         (["certify", "--target", "partial", "--horizon", "0"], "configuration error: horizon"),
         (["certify", "--target", "partial", "--sigma", "0", *rates], "configuration error: sigma"),
         (["solve", "--grid", "128", "--times", "0", "-0.05"], "configuration error: solve_times"),
         (["solve", "--config", str(no_times)], "configuration error: solve_times"),
-        (["norms", "--config", str(p_one)], "configuration error: integrabilities"),
         (["mix", "--steps", "3"], "configuration error: steps"),
-        (["certify", "--target", "partial", "--config", str(margin), *rates],
-         "configuration error: alpha_margin"),
-        (["mix", "--config", str(profile)], "configuration error: profile"),
         (["mix", "--seed", "-1"], "configuration error: seed"),
-        # rates fitted on a protocol that does not move, or on a zero datum
+        # rates fitted on a protocol that does not move
         (["sweep", "--grid", "64", "--config", str(still)], "configuration error: amplitude"),
-        (["sweep", "--grid", "64", "--config", str(no_datum)],
-         "configuration error: datum_amplitude"),
-        # a datum whose norms underflow, or a flow too weak to mix it, fails the rate fit
-        (["sweep", "--grid", "64", "--config", str(underflow)],
-         "configuration error: datum_amplitude"),
+        # a flow too weak to mix the datum fails the rate fit
         (["sweep", "--grid", "64", "--config", str(creeping)],
-         "configuration error: datum_amplitude/amplitude"),
+         "configuration error: amplitude: no rates can be measured"),
         (["certify", "--target", "partial", "--rate-b", "-1", "--rate-c", "1"],
          "configuration error: rate_b"),
         (["certify", "--target", "partial", "--rate-b", "1", "--rate-c", "0"],
@@ -382,8 +371,6 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
          "configuration error: orders"),
         (["mix", "--grid", "32", "--config", str(refused["amplitude"])],
          "configuration error: amplitude"),
-        (["mix", "--grid", "32", "--config", str(refused["banded"])],
-         "configuration error: banded"),
         # an empty certificate sweep
         (["certify", "--config", str(refused["s_grid"])], "configuration error: s_grid"),
         (["certify", "--config", str(refused["t_grid"])], "configuration error: t_grid"),
@@ -410,6 +397,27 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         assert err.startswith(message) and err.count("\n") == 1
 
 
+# settings that are constants now, each with the value it always held
+REMOVED_FIELDS = {
+    "profile": "sine",
+    "banded": False,
+    "datum_center": [0.5, 0.5],
+    "datum_amplitude": 1.0,
+    "integrabilities": [2.0, 4.0],
+    "alpha_margin": 2.0,
+    "sweep_threshold": 1.0e6,
+}
+
+
+@pytest.mark.parametrize("key", list(REMOVED_FIELDS))
+def test_cli_refuses_a_removed_field(tmp_path, capsys, key):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: REMOVED_FIELDS[key]}))
+    argv = ["mix", "--grid", "32", "--config", str(config_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {key}: unknown configuration field\n"
+
+
 def test_cli_lower_bound_at_an_unmeasured_order(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--order", "0.3", "--grid", "64", "--out", str(out)]) == 0
@@ -427,6 +435,6 @@ def test_cli_lower_bound_at_an_unmeasured_order(tmp_path):
 )
 def test_cli_planar_measurements_accept_a_3d_config(tmp_path, argv):
     config_path = tmp_path / "d3.json"
-    config_path.write_text(json.dumps({"dimension": 3, "datum_center": [0.5, 0.5, 0.5]}))
+    config_path.write_text(json.dumps({"dimension": 3}))
     out = tmp_path / "out"
     assert main([*argv, "--config", str(config_path), "--grid", "64", "--out", str(out)]) == 0

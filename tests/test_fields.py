@@ -12,7 +12,6 @@ from regloss import (
     hs_norm,
     make_bump,
 )
-from regloss.fields import radial_cutoff, smooth_bridge
 
 
 def test_grid_validation():
@@ -124,15 +123,3 @@ def test_cube_gap():
     assert a.distance_to(b) == pytest.approx(1.0)
     assert a.distance_to(Cube((0.5, 0.0), 1.0)) == 0.0
 
-
-def test_smooth_bridge_profile():
-    t = np.linspace(-0.5, 1.5, 101)
-    v = smooth_bridge(t)
-    assert np.all(v[t <= 0] == 0.0)
-    assert np.all(v[t >= 1] == 1.0)
-    assert np.all(np.diff(v) >= -1e-15)
-    assert smooth_bridge(0.5) == pytest.approx(0.5)
-    r = np.linspace(0.0, 0.5, 201)
-    eta = radial_cutoff(r, 0.125, 0.25)
-    assert np.all(eta[r <= 0.125] == 1.0)
-    assert np.all(eta[r >= 0.25] == 0.0)

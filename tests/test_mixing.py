@@ -29,7 +29,7 @@ from regloss import (
     transported_values,
     velocity_norm_series,
 )
-from regloss.mixing import PROFILES, _prefilter_halves, protocol_to_json
+from regloss.mixing import _prefilter_halves, protocol_to_json
 
 
 def test_single_step_protocol():
@@ -50,8 +50,6 @@ def test_step_validation():
         ShearStep(axis=0, transverse=0, amplitude=1.0, phase=0.0, duration=1.0)
     with pytest.raises(ValueError):
         ShearStep(axis=0, transverse=1, amplitude=1.0, phase=0.0, duration=0.0)
-    with pytest.raises(ValueError):
-        ShearStep(axis=0, transverse=1, amplitude=1.0, phase=0.0, duration=1.0, profile="step")
 
 
 def test_seed_reproducibility():
@@ -239,10 +237,10 @@ PROTOCOLS = {"flow": (0.25, 0.125, 1.2), "slow-flow": (1.0, 0.125, 0.5)}
     [
         (2, 64, "flow", 0.01, 20),  # crosses the step boundary at t = 0.125
         (2, 64, "callable", 0.01, 12),
-        (3, 16, "flow", 0.02, 9),  # banded, crosses a step boundary
+        (3, 16, "flow", 0.02, 9),  # crosses a step boundary
         # 7 boundaries, and dt does not divide the step duration
         (2, 64, "slow-flow", 0.03, 30),
-        (3, 16, "slow-flow", 0.03, 30),  # banded
+        (3, 16, "slow-flow", 0.03, 30),
     ],
 )
 def test_semi_lagrangian_is_identical_to_a_serial_rk4_loop(dimension, points, kind, dt, steps):
@@ -251,9 +249,7 @@ def test_semi_lagrangian_is_identical_to_a_serial_rk4_loop(dimension, points, ki
     datum = demean(make_bump(g, center, 0.2, 1.0))
     if kind in PROTOCOLS:
         total, duration, amplitude = PROTOCOLS[kind]
-        flow = build_mixing_protocol(
-            3, total, duration, amplitude, dimension=dimension, banded=dimension == 3
-        )
+        flow = build_mixing_protocol(3, total, duration, amplitude, dimension=dimension)
         assert flow.step_index(dt * steps) == math.floor(dt * steps / duration) >= 1
         velocity = flow
         serial_velocity = lambda t, c: flow.velocity_at(t, c, g.length)
@@ -516,24 +512,9 @@ def test_three_dimensional_transport_conserves_mass():
     assert np.max(np.abs(back.values - datum.values)) < 1e-12
 
 
-def test_banded_step_is_divergence_free_and_supported():
-    g = Grid(2, 256)
-    flow = build_mixing_protocol(4, 0.25, 0.25, 1.0, banded=True)
-    field = flow.velocity_field(0.1, g)
-    assert field.spectral_divergence() < 1e-10
-    comp = field.components[flow.steps[0].axis]
-    y = g.axis()
-    outside = np.abs(y - 0.5) >= 7.0 / 16.0 + 1e-12
-    assert np.max(np.abs(comp[:, outside] if flow.steps[0].transverse == 1 else comp[outside, :])) == 0.0
-
-
 @pytest.mark.parametrize("dimension", [2, 3])
-@pytest.mark.parametrize("banded", [False, True], ids=["unbanded", "banded"])
-@pytest.mark.parametrize("profile", PROFILES)
-def test_every_shear_step_is_divergence_free(profile, banded, dimension):
+def test_every_shear_step_is_divergence_free(dimension):
     grid = Grid(dimension, 32)
-    flow = build_mixing_protocol(
-        5, 2.5, 0.125, 3.2, dimension=dimension, profile=profile, banded=banded
-    )
+    flow = build_mixing_protocol(5, 2.5, 0.125, 3.2, dimension=dimension)
     for t in flow.start_times()[:-1]:
         assert flow.velocity_field(t, grid).spectral_divergence() < 1e-10
