@@ -62,7 +62,6 @@ from .series import (
     classify,
     classify_bounded,
     exp_factor,
-    partial_sum,
     partial_sums,
     product_and_power,
 )

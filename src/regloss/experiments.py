@@ -141,14 +141,15 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{name}: must be positive when set, got {value}")
-        # sweep and solve bound norms with prefactors measured together with
-        # the rates, so a rate given in their place would go unused
+        # a rate that the mode never reads is refused: mix and norms read
+        # none, sweep and solve measure both together with their prefactors,
+        # and certify-total reads only c, for the blow-up condition
+        unread = {"certify-partial": (), "certify-total": ("rate_b",)}.get(
+            self.mode, ("rate_b", "rate_c")
+        )
+        if any(getattr(self, name) is not None for name in unread):
+            raise ConfigError(f"{'/'.join(unread)}: unused in mode {self.mode}; leave unset")
         measured = self.mode in ("lower-bound-sweep", "truncated-solution")
-        if measured and (self.rate_b is not None or self.rate_c is not None):
-            raise ConfigError(
-                "rate_b/rate_c: this mode measures the rates with their prefactors; "
-                "leave the rates unset"
-            )
         # sweep, solve and certify-partial without both rates fit rates on the
         # seeded protocol, which needs a flow that moves the datum
         injected = self.rate_b is not None and self.rate_c is not None
@@ -449,7 +450,7 @@ def _run_solve(config: ExperimentConfig, bundle: ReportBundle) -> None:
     datum, constants = _measured_constants(config, config.solve_order)
     schedule = total_loss_schedule(dimension=2)
     n_pieces = config.pieces
-    max_local = max(config.solve_times) * n_pieces**3
+    max_local = max(config.solve_times) / schedule.tau.term(n_pieces)
     steps = max(config.steps, math.ceil(max_local / config.step_duration - 1e-12))
     flow = _protocol(replace(_planar(config), steps=steps))
     cubes = place_cubes(schedule, n_pieces)
@@ -458,7 +459,7 @@ def _run_solve(config: ExperimentConfig, bundle: ReportBundle) -> None:
     side = (hi - lo) * 1.05
     window = Cube((0.5 * (lo + hi), cubes[0].center[1]), side)
     grid = Grid(2, config.grid_points, side)
-    s = config.solve_order
+    s, d = config.solve_order, schedule.dimension
     rows = []
     for t in config.solve_times:
         theta = evaluate_truncated_solution(schedule, flow, datum, n_pieces, t, window, grid)
@@ -468,10 +469,10 @@ def _run_solve(config: ExperimentConfig, bundle: ReportBundle) -> None:
             lam_n = schedule.lam.term(n)
             gamma_n = schedule.gamma.term(n)
             state = exact_solution_at(datum, flow, t / schedule.tau.term(n))
-            hs_sq = (gamma_n * lam_n ** (1.0 - s) * hs_norm(state, s)) ** 2
-            l2_sq = (gamma_n * lam_n * hs_norm(state, 0.0)) ** 2
+            hs_sq = (gamma_n * lam_n ** (d / 2 - s) * hs_norm(state, s)) ** 2
+            l2_sq = (gamma_n * lam_n ** (d / 2) * hs_norm(state, 0.0)) ** 2
             pieces.append((hs_sq, l2_sq, lam_n))
-        orth = orthogonality_lower_bound(pieces, s, 2)
+        orth = orthogonality_lower_bound(pieces, s, d)
         series_bound = hs_lower_bound_partial_sums(schedule, s, t, n_pieces, constants)[-1]
         rows.append((t, measured_sq, orth, series_bound, measured_sq >= orth >= series_bound))
     bundle.add_table(

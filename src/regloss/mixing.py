@@ -1,4 +1,4 @@
-"""Alternating shear mixing on the periodic cell and exact transport.
+"""Alternating shear mixing on the periodic unit cell and exact transport.
 
 A mixing protocol is a finite list of steady sine shears.  Each step moves
 points along one axis by a displacement that depends only on a transverse
@@ -43,7 +43,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter, spline_filter1d
 
-from .fields import Grid, ScalarField, VectorField, demean
+from .fields import GeometryError, Grid, ScalarField, VectorField, demean
 from .sobolev import hs_norm, wsp_norm
 
 __all__ = [
@@ -79,7 +79,7 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class ShearStep:
-    """One steady shear: velocity amplitude * sin(2*pi*y/L + phase) along ``axis``.
+    """One steady shear on the unit cell: velocity amplitude * sin(2*pi*y + phase) along ``axis``.
 
     ``y`` is the coordinate along ``transverse``, so the velocity is
     divergence-free and the characteristics are exact.
@@ -97,18 +97,17 @@ class ShearStep:
         if not self.duration > 0:
             raise ValueError(f"step duration must be positive, got {self.duration}")
 
-    def speed(self, y: np.ndarray, length: float = 1.0) -> np.ndarray:
+    def speed(self, y: np.ndarray) -> np.ndarray:
         """Signed speed along the shear axis as a function of y."""
         v = 2.0 * math.pi * y  # the phase, then the speed, in one array
-        v /= length
         v += self.phase
         np.sin(v, out=v)
         v *= self.amplitude
         return v
 
-    def max_speed(self, length: float = 1.0) -> float:
-        y = np.linspace(0.0, length, 4096, endpoint=False)
-        return float(np.max(np.abs(self.speed(y, length))))
+    def max_speed(self) -> float:
+        y = np.linspace(0.0, 1.0, 4096, endpoint=False)
+        return float(np.max(np.abs(self.speed(y))))
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,12 @@ class FlowMap:
             clock += s.duration
         return out
 
-    def pull_back(self, coords: np.ndarray, t: float, length: float = 1.0) -> np.ndarray:
-        """Departure points X(t,.)^{-1} at the given coordinates (exact)."""
+    def pull_back(self, coords: np.ndarray, t: float) -> np.ndarray:
+        """Departure points X(t,.)^{-1} at the given coordinates (exact), wrapped to [0, 1)."""
         x = np.array(coords, dtype=float, copy=True)
         for step, dt in reversed(self._active(t)):
-            x[step.axis] -= dt * step.speed(x[step.transverse], length)
-        np.mod(x, length, out=x)
+            x[step.axis] -= dt * step.speed(x[step.transverse])
+        np.mod(x, 1.0, out=x)
         return x
 
     def step_index(self, t: float) -> int:
@@ -159,20 +158,20 @@ class FlowMap:
         idx = bisect.bisect_right(self.start_times(), t) - 1
         return max(0, min(idx, len(self.steps) - 1))
 
-    def velocity_at(self, t: float, coords: np.ndarray, length: float = 1.0) -> np.ndarray:
+    def velocity_at(self, t: float, coords: np.ndarray) -> np.ndarray:
         """Velocity of the active step at time t, sampled at the coordinates."""
         out = np.zeros_like(np.asarray(coords, dtype=float))
         step = self.steps[self.step_index(t)]
-        out[step.axis] = step.speed(coords[step.transverse], length)
+        out[step.axis] = step.speed(coords[step.transverse])
         return out
 
     def velocity_field(self, t: float, grid: Grid) -> VectorField:
-        coords = grid.coordinates()
-        vel = self.velocity_at(t, coords, grid.length)
+        coords = _unit_cell(grid).coordinates()
+        vel = self.velocity_at(t, coords)
         return VectorField(grid, tuple(vel))
 
-    def max_speed(self, length: float = 1.0) -> float:
-        return max((s.max_speed(length) for s in self.steps), default=0.0)
+    def max_speed(self) -> float:
+        return max((s.max_speed() for s in self.steps), default=0.0)
 
 
 def build_mixing_protocol(
@@ -257,10 +256,17 @@ def _prefilter_halves(pool: ThreadPoolExecutor, values: np.ndarray, out: np.ndar
     _both(pool, _filter_along, (rest, out[:half], out[:half]), (rest, out[half:], out[half:]))
 
 
-def _departure_points(flow: FlowMap, t: float, points: np.ndarray, length: float) -> np.ndarray:
+def _unit_cell(grid: Grid) -> Grid:
+    """The grid itself, if it is the unit cell, on which the shears are periodic."""
+    if grid.length != 1.0:
+        raise GeometryError(f"transport needs the unit cell, got side length {grid.length}")
+    return grid
+
+
+def _departure_points(flow: FlowMap, t: float, points: np.ndarray) -> np.ndarray:
     if t < 0 or t > flow.total_time + 1e-12:
         raise ValueError(f"time {t} outside the protocol span [0, {flow.total_time}]")
-    return flow.pull_back(points, t, length)
+    return flow.pull_back(points, t)
 
 
 def transported_values(
@@ -271,8 +277,8 @@ def transported_values(
     Each value is one quintic-spline sample of the initial grid data at the
     point's exact departure point; the points need not be grid nodes.
     """
-    grid = rho0.grid
-    departure = _departure_points(flow, t, points, grid.length)
+    grid = _unit_cell(rho0.grid)
+    departure = _departure_points(flow, t, points)
     departure /= grid.spacing
     return _sample(_prefilter(rho0.values), departure)
 
@@ -285,12 +291,12 @@ def exact_solution_at(rho0: ScalarField, flow: FlowMap, t: float) -> ScalarField
     approximation.  At t = 0, or when the flow moves no node, the datum
     itself is returned.
     """
+    grid = _unit_cell(rho0.grid)
     if t == 0:
         return rho0
-    grid = rho0.grid
     nodes = grid.coordinates()
-    departure = _departure_points(flow, t, nodes, grid.length)
-    # the nodes already lie in [0, L), where the departure points are wrapped
+    departure = _departure_points(flow, t, nodes)
+    # the nodes already lie in [0, 1), where the departure points are wrapped
     if np.array_equal(departure, nodes):
         return rho0
     del nodes
@@ -323,10 +329,10 @@ def advect_semi_lagrangian(
     """
     if not dt > 0 or steps < 0:
         raise ValueError("dt must be positive and steps nonnegative")
-    grid = rho0.grid
-    h, length = grid.spacing, grid.length
+    grid = _unit_cell(rho0.grid)
+    h = grid.spacing
     flow = velocity if isinstance(velocity, FlowMap) else None
-    vel = velocity if flow is None else lambda t, c: flow.velocity_at(t, c, length)
+    vel = velocity if flow is None else flow.velocity_at
     # each thread's half of the nodes, contiguous in memory
     lower, upper = (part.copy() for part in np.split(grid.coordinates(), 2, axis=1))
     half = grid.points // 2
@@ -339,7 +345,7 @@ def advect_semi_lagrangian(
         k4 = vel(t1 - dt, nodes - dt * k3)
         departure = nodes - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         still = np.array_equal(departure, nodes)
-        np.mod(departure, length, out=departure)
+        np.mod(departure, 1.0, out=departure)
         departure /= h
         return float(np.max(np.abs(k1))), still, departure
 

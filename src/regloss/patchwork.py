@@ -454,7 +454,6 @@ def evaluate_truncated_solution(
     coords += np.reshape(corner, (-1,) + (1,) * grid.dimension)
     out = np.zeros(grid.shape)
     occupied = np.zeros(grid.shape, dtype=bool)
-    half_cell = 0.5 * base_datum.grid.length
     for n in range(1, count + 1):
         lam_n = schedule.lam.term(n)
         center = cubes[n - 1].center
@@ -464,7 +463,7 @@ def evaluate_truncated_solution(
             continue
         if (occupied & mask).any():
             raise GeometryError(f"piece {n} overlaps an earlier piece")
-        unit = delta[:, mask] / lam_n + half_cell
+        unit = delta[:, mask] / lam_n + 0.5
         out[mask] = schedule.gamma.term(n) * transported_values(
             base_datum, base_flow, t / schedule.tau.term(n), unit
         )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import tee
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "Classification",
     "classify",
     "classify_bounded",
-    "partial_sum",
     "partial_sums",
     "product_and_power",
     "exp_factor",
@@ -33,8 +31,6 @@ __all__ = [
 
 # exp(x) overflows float64 slightly above this
 _LOG_FLOAT_MAX = 709.0
-TAIL_REL_TOL = 1e-18
-TAIL_MAX_TERMS = 200_000
 
 
 def _trim(coeffs) -> tuple[float, ...]:
@@ -210,11 +206,6 @@ def partial_sums(
     return sums + sums[-1:] * (upto - len(sums))
 
 
-def partial_sum(series: ExpPolySeries, upto: int) -> float:
-    """Sum of terms 1 through ``upto``: the last of ``partial_sums``."""
-    return partial_sums(series, upto)[-1]
-
-
 def product_and_power(series: list[ExpPolySeries], exponents: list[float]) -> ExpPolySeries:
     """Combine ``prod_i series_i ** e_i`` into a single exp-polynomial family.
 
@@ -248,18 +239,12 @@ def exp_factor(coefficient: float, degree: int) -> ExpPolySeries:
 
 
 def tail_sum(series: ExpPolySeries, after: int) -> float:
-    """Numeric tail sum_{n > after} term(n) of a certified convergent series.
+    """Tail sum_{n > after} term(n) of a geometric series c * exp(q_1 * n), q_1 < 0.
 
-    The tail is summed by the rule of ``partial_sums`` until a term falls
-    below ``TAIL_REL_TOL`` times the running sum; a tail that has not
-    settled within ``TAIL_MAX_TERMS`` terms raises ``ValueError`` rather
-    than return a truncated value.
+    Returns the closed form c * exp(q_1 * (after + 1)) / (1 - exp(q_1));
+    every other family raises ``ValueError``.
     """
-    if classify(series).verdict != "convergent":
-        raise ValueError("tail_sum requires a certified convergent series")
-    first = max(after, 0) + 1
-    terms, summed = tee(map(series.term, range(first, first + TAIL_MAX_TERMS)))
-    for t, total in zip(terms, _running_sums(summed)):
-        if abs(t) <= TAIL_REL_TOL * abs(total):
-            return total
-    raise ValueError(f"tail after index {after} has not settled within {TAIL_MAX_TERMS} terms")
+    q = series.exponent_poly
+    if series.power != 0.0 or len(q) != 1 or not q[0] < 0.0:
+        raise ValueError(f"tail_sum needs c*exp(q1*n) with q1 < 0, got {series}")
+    return series.coefficient * math.exp(q[0] * (max(after, 0) + 1)) / -math.expm1(q[0])

@@ -314,6 +314,9 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         # sweep and solve measure their rates: one injected rate would go unused
         ("only_b", {"rate_b": 5.0}),
         ("only_c", {"rate_c": 5.0}),
+        # mix and norms read no rate, and certify-total reads only c
+        ("both_rates", {"rate_b": 2.0, "rate_c": 5.0}),
+        ("b_for_total", {"rate_b": 7.0}),
         ("s_grid", {"s_grid": []}),
         ("t_grid", {"t_grid": []}),
         # non-finite numbers and orders or times out of range
@@ -342,6 +345,12 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
          "configuration error: rate_b/rate_c"),
         (["solve", "--grid", "128", "--pieces", "2", "--config", str(refused["only_c"])],
          "configuration error: rate_b/rate_c"),
+        (["mix", "--grid", "32", "--config", str(refused["both_rates"])],
+         "configuration error: rate_b/rate_c"),
+        (["norms", "--grid", "16", "--config", str(refused["both_rates"])],
+         "configuration error: rate_b/rate_c"),
+        (["certify", "--target", "total", "--config", str(refused["b_for_total"])],
+         "configuration error: rate_b"),
         # three pieces need a finer window than 64 points per side
         (["solve", "--grid", "64"], "resolution error: piece 3"),
         (["certify", "--target", "partial", "--horizon", "0"], "configuration error: horizon"),

@@ -10,6 +10,7 @@ from scipy.ndimage import map_coordinates, spline_filter
 from regloss import (
     CFLError,
     FlowMap,
+    GeometryError,
     Grid,
     InsufficientDataError,
     MixerConstants,
@@ -122,6 +123,16 @@ def test_transported_values_at_and_between_the_nodes():
         transported_values(datum, step, 1.5, x)
 
 
+def test_exact_transport_refuses_a_cell_other_than_the_unit_cell():
+    g = Grid(2, 32, 0.5)
+    datum = make_bump(g, (0.25, 0.25), 0.1, 1.0)
+    flow = build_mixing_protocol(1, 0.5, 0.125, 1.0)
+    with pytest.raises(GeometryError, match="unit cell"):
+        exact_solution_at(datum, flow, 0.25)
+    with pytest.raises(GeometryError, match="unit cell"):
+        transported_values(datum, flow, 0.25, g.coordinates())
+
+
 def test_inverse_concatenation_is_identity():
     g = Grid(2, 128)
     datum = demean(make_bump(g, (0.5, 0.5), 0.15, 1.0))
@@ -161,6 +172,14 @@ def test_semi_lagrangian_zero_velocity():
     flow = build_mixing_protocol(1, 1.0, 0.25, 0.0)
     out = advect_semi_lagrangian(datum, flow, dt=0.05, steps=20)
     assert np.array_equal(out.values, datum.values)
+
+
+def test_semi_lagrangian_refuses_a_cell_other_than_the_unit_cell():
+    g = Grid(2, 32, 2.0)
+    datum = make_bump(g, (1.0, 1.0), 0.4, 1.0)
+    flow = build_mixing_protocol(1, 1.0, 0.25, 1.0)
+    with pytest.raises(GeometryError, match="unit cell"):
+        advect_semi_lagrangian(datum, flow, dt=0.01, steps=1)
 
 
 def test_semi_lagrangian_matches_exact_map_single_step():
@@ -252,7 +271,7 @@ def test_semi_lagrangian_is_identical_to_a_serial_rk4_loop(dimension, points, ki
         flow = build_mixing_protocol(3, total, duration, amplitude, dimension=dimension)
         assert flow.step_index(dt * steps) == math.floor(dt * steps / duration) >= 1
         velocity = flow
-        serial_velocity = lambda t, c: flow.velocity_at(t, c, g.length)
+        serial_velocity = flow.velocity_at
     else:
         velocity = serial_velocity = _swirl
     out = advect_semi_lagrangian(datum, velocity, dt, steps)
@@ -271,9 +290,9 @@ def test_semi_lagrangian_traces_a_flow_once_per_steady_window(steps, monkeypatch
     calls = []
     velocity_at = FlowMap.velocity_at
 
-    def counted(self, t, coords, length=1.0):
+    def counted(self, t, coords):
         calls.append(t)
-        return velocity_at(self, t, coords, length)
+        return velocity_at(self, t, coords)
 
     monkeypatch.setattr(FlowMap, "velocity_at", counted)
     advect_semi_lagrangian(datum, flow, dt, steps)

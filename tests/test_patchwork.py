@@ -92,6 +92,20 @@ def test_place_cubes_single():
     assert len(cubes) == 1
 
 
+def test_place_cubes_sums_a_slowly_decaying_scale_in_closed_form():
+    # lam_n = exp(-alpha*T*n) with alpha*T = 4e-5: its terms stay above
+    # 1e-18 of the tail for about a million indices
+    sch = partial_loss_schedule(3, 2.0, 2.0, 1.0, 1.0, b=1e-5, c=1.0)
+    q = sch.lam.exponent_poly[0]
+    cubes = place_cubes(sch, 3)
+    for n, cube in enumerate(cubes, start=1):
+        offset = cube.center[0] - cube.half
+        assert offset == pytest.approx(6.0 * math.exp(q * (n + 1)) / -math.expm1(q), rel=1e-14)
+    for n in (1, 2):
+        gap = cubes[n - 1].distance_to(cubes[n])
+        assert gap == pytest.approx(3.0 * sch.lam.term(n + 1), rel=1e-6)
+
+
 def test_place_cubes_requires_summable_scales():
     sch = Schedule(
         lam=ExpPolySeries(1.0, -1.0, ()),

@@ -69,6 +69,11 @@ DIGESTS = {
         "summary.txt": "46658aca844ddd566629904dec99e9e0ba98db8b0b18c0257beee84552730e9e",
         "truncated_solution.csv": "7b0d0781b2f893cb18a49c2fc6549626342c139a067c428fe3374498158844d5",
     },
+    "solve --grid 256 --pieces 3": {
+        "certificates.json": "36b1730a5c79677bafed927cecc14a1d3fd3690cf364de0ee339d0eb05f15f4d",
+        "summary.txt": "b844a001d991e129a81df35c997effb3d8d1a0743445dcce8d83001d856a2236",
+        "truncated_solution.csv": "addfc5cb2839d30ff05abd7af68eb908adaf52228b9666b742c98934d1717332",
+    },
     "certify --target total --config total-40x4.json": {
         "blowup_sweep_d2.csv": "aab3b837441f0562cf51e46d83c401caaded1478314607c55ea730648200761d",
         "blowup_sweep_d3.csv": "b51cdb6f7ec08148384864dc01f5e4e61cdccec2e7c6061eab6cdadc5b23aa10",

@@ -10,7 +10,6 @@ from regloss import (
     classify,
     classify_bounded,
     exp_factor,
-    partial_sum,
     partial_sums,
     product_and_power,
 )
@@ -67,22 +66,21 @@ def test_bounded_family():
 def test_partial_sum_geometric_closed_form():
     series = ExpPolySeries(1.0, 0.0, (-1.0,))
     expected = 1.0 / (math.e - 1.0)
-    assert abs(partial_sum(series, 50) - expected) < 1e-12
+    assert abs(partial_sums(series, 50)[-1] - expected) < 1e-12
 
 
 def test_partial_sum_single_term():
     series = ExpPolySeries(2.0, 1.0, (-0.5,))
-    assert partial_sum(series, 1) == pytest.approx(series.term(1), rel=0, abs=0)
+    assert partial_sums(series, 1)[-1] == pytest.approx(series.term(1), rel=0, abs=0)
 
 
 def test_partial_sum_tail_settled():
     series = ExpPolySeries(1.0, 3.0, (-1.0,))
-    assert abs(partial_sum(series, 200) - partial_sum(series, 100)) < 1e-30
+    assert abs(partial_sums(series, 200)[-1] - partial_sums(series, 100)[-1]) < 1e-30
 
 
 def test_partial_sum_overflow_saturates():
     series = ExpPolySeries(1.0, 0.0, (0.0, 1.0))
-    assert math.isinf(partial_sum(series, 40))
     sums = partial_sums(series, 40)
     assert math.isinf(sums[-1])
 
@@ -131,13 +129,11 @@ def test_partial_sums_are_correctly_rounded_and_saturate_with_sign():
                 saturated = expected
                 saturations += 1
     assert saturations == 6
-    for series, _, upto in _summation_corpus():
-        assert partial_sum(series, upto) == partial_sums(series, upto)[-1]
 
 
 def test_partial_sum_saturates_when_the_sum_overflows():
-    assert partial_sum(ExpPolySeries(8e307, 0.0, ()), 3) == math.inf
-    assert partial_sum(ExpPolySeries(-8e307, 0.0, ()), 3) == -math.inf
+    assert partial_sums(ExpPolySeries(8e307, 0.0, ()), 3)[-1] == math.inf
+    assert partial_sums(ExpPolySeries(-8e307, 0.0, ()), 3)[-1] == -math.inf
 
 
 def test_partial_sums_difference_needs_aligned_parts():
@@ -155,7 +151,7 @@ def test_partial_sums_monotone_for_positive_terms():
 
 def test_partial_sum_bad_range():
     with pytest.raises(ValueError):
-        partial_sum(ExpPolySeries(1.0, 0.0, (-1.0,)), 0)
+        partial_sums(ExpPolySeries(1.0, 0.0, (-1.0,)), 0)
 
 
 def test_product_squares_exponent():
@@ -231,10 +227,29 @@ def test_tail_sum_requires_convergence():
         tail_sum(ExpPolySeries(1.0, -1.0, ()), 5)
 
 
-def test_tail_sum_refuses_unsettled_tail():
-    # zeta(1.1) - 1 is about 9.58; 200 000 terms reach only 6.63
-    with pytest.raises(ValueError, match="settled"):
-        tail_sum(ExpPolySeries(1.0, -1.1, ()), 1)
+@pytest.mark.parametrize("q1", [-1.0, -0.3, -1e-3, -1e-4, -1e-5])
+def test_tail_sum_matches_a_50_digit_geometric_tail(q1):
+    import mpmath
+
+    series = ExpPolySeries(1.0, 0.0, (q1,))
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q1)
+        for after in range(11):
+            exact = mpmath.exp(q * (after + 1)) / -mpmath.expm1(q)
+            assert abs(tail_sum(series, after) - exact) <= 4e-16 * exact, after
+
+
+@pytest.mark.parametrize(
+    "series",
+    [ExpPolySeries(1.0, -4.0, ()), ExpPolySeries(1.0, -1.1, ()),
+     ExpPolySeries(1.0, 1.0, (-1.0,)), ExpPolySeries(1.0, 0.0, (0.0, -1.0)),
+     ExpPolySeries(1.0, 0.0, (0.5,))],
+    ids=["power-4", "power-1.1", "power-times-geometric", "quadratic-exponent", "growing"],
+)
+def test_tail_sum_refuses_every_non_geometric_series(series):
+    # the n^-4 tail after 1 is zeta(4) - 1, which a truncated sum misses by 1.9e-14
+    with pytest.raises(ValueError, match="q1 < 0"):
+        tail_sum(series, 1)
 
 
 def test_serialization_round_trip():
@@ -265,8 +280,8 @@ def _oracle_corpus(count=12, seed=123):
 def test_classifier_matches_numeric_oracle_smoke():
     for series in _oracle_corpus():
         verdict = classify(series).verdict
-        small = partial_sum(series, 1000)
-        large = partial_sum(series, 10000)
+        small = partial_sums(series, 1000)[-1]
+        large = partial_sums(series, 10000)[-1]
         if verdict == "convergent":
             assert math.isfinite(large)
             assert abs(large - small) < 1e-6 * max(abs(large), 1e-300)
