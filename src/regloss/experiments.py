@@ -266,7 +266,7 @@ def _measured_constants(config: ExperimentConfig, order: float):
     datum = _datum(planar, grid)
     flow = _protocol(planar)
     try:
-        constants, _ = estimate_mixer_constants(flow, datum, decay_orders=(order, 1.0))
+        constants, _ = estimate_mixer_constants(flow, datum, order)
     except ValueError as exc:
         # a flow too weak to mix the datum
         raise ConfigError(f"amplitude: no rates can be measured: {exc}") from exc
@@ -319,8 +319,9 @@ def _run_mix(config: ExperimentConfig, bundle: ReportBundle) -> None:
 def _run_norms(config: ExperimentConfig, bundle: ReportBundle) -> None:
     grid = Grid(config.dimension, config.grid_points)
     datum = _datum(config, grid)
-    # the double sum costs O(M^(2d)): small grids only, one call for every order
-    fractional = [s for s in config.orders if 0.0 < s < 1.0] if config.grid_points <= 64 else []
+    # the double sum costs O(M^(2d)): at most 64^2 nodes, one call for every order
+    small = config.grid_points**config.dimension <= 64**2
+    fractional = [s for s in config.orders if 0.0 < s < 1.0] if small else []
     gagliardo = dict(zip(fractional, gagliardo_seminorm(datum, fractional))) if fractional else {}
     rows = []
     for s in config.orders:
@@ -373,7 +374,7 @@ def _certify_partial(config: ExperimentConfig, bundle: ReportBundle) -> None:
     assumed = " (the measured c, assumed)" if config.rate_b is None else ""
     bundle.note(
         f"rates: b={b:.6g}{assumed} c={c:.6g} (seed {config.seed}); "
-        f"beta={params.beta:.6g} alpha={params.alpha:.6g} (margin 2); "
+        f"beta={params.beta:.6g} alpha={params.alpha:.6g} (margin {params.alpha_margin:g}); "
         f"loss threshold mu_bar={params.mu_bar:.6g}, schedule-effective {params.mu_effective:.6g}"
     )
     bundle.certificates.append(evaluate_condition(schedule, Condition.CUBE_PLACEMENT))
@@ -456,13 +457,13 @@ def _run_solve(config: ExperimentConfig, bundle: ReportBundle) -> None:
     cubes = place_cubes(schedule, n_pieces)
     lo = min(c.center[0] - c.half for c in cubes)
     hi = max(c.center[0] + c.half for c in cubes)
-    side = (hi - lo) * 1.05
-    window = Cube((0.5 * (lo + hi), cubes[0].center[1]), side)
-    grid = Grid(2, config.grid_points, side)
+    window = Cube((0.5 * (lo + hi), cubes[0].center[1]), (hi - lo) * 1.05)
     s, d = config.solve_order, schedule.dimension
     rows = []
     for t in config.solve_times:
-        theta = evaluate_truncated_solution(schedule, flow, datum, n_pieces, t, window, grid)
+        theta = evaluate_truncated_solution(
+            schedule, flow, datum, n_pieces, t, window, config.grid_points
+        )
         measured_sq = hs_norm(theta, s) ** 2
         pieces = []
         for n in range(1, n_pieces + 1):
@@ -530,6 +531,6 @@ def revalidate_certificate(data: dict) -> bool:
     """Re-derive a serialized certificate and compare verdict and series."""
     cert = ConditionCertificate.from_dict(data)
     schedule = Schedule.from_dict(cert.params["schedule"])
-    kwargs = {key: value for key, value in cert.params.items() if key not in ("d", "schedule")}
+    kwargs = {key: value for key, value in cert.params.items() if key != "schedule"}
     fresh = evaluate_condition(schedule, cert.condition, **kwargs)
     return fresh.verdict == cert.verdict and fresh.series == cert.series

@@ -112,23 +112,29 @@ class ShearStep:
 
 @dataclass(frozen=True)
 class FlowMap:
-    """Composable volume-preserving map built from exact shear steps."""
+    """Composable volume-preserving map built from exact shear steps.
+
+    Its clock, the running sums of the step durations from 0, is computed
+    once; ``start_times``, ``step_index``, ``pull_back`` and
+    ``total_time`` (its last entry) all read it.
+    """
 
     steps: tuple[ShearStep, ...]
     seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
+        clock = [0.0]
+        for s in self.steps:
+            clock.append(clock[-1] + s.duration)
+        object.__setattr__(self, "_clock", tuple(clock))
 
     @property
     def total_time(self) -> float:
-        return math.fsum(s.duration for s in self.steps)
+        return self._clock[-1]
 
     def start_times(self) -> list[float]:
-        out = [0.0]
-        for s in self.steps:
-            out.append(out[-1] + s.duration)
-        return out
+        return list(self._clock)
 
     def inverse(self) -> "FlowMap":
         rev = tuple(replace(s, amplitude=-s.amplitude) for s in reversed(self.steps))
@@ -136,14 +142,8 @@ class FlowMap:
 
     def _active(self, t: float) -> list[tuple[ShearStep, float]]:
         """Steps overlapping [0, t] with their effective durations."""
-        out = []
-        clock = 0.0
-        for s in self.steps:
-            if clock >= t:
-                break
-            out.append((s, min(s.duration, t - clock)))
-            clock += s.duration
-        return out
+        started = zip(self.steps, self._clock)
+        return [(s, min(s.duration, t - start)) for s, start in started if start < t]
 
     def pull_back(self, coords: np.ndarray, t: float) -> np.ndarray:
         """Departure points X(t,.)^{-1} at the given coordinates (exact), wrapped to [0, 1)."""
@@ -155,7 +155,7 @@ class FlowMap:
 
     def step_index(self, t: float) -> int:
         """Index of the step active at time t: the last one starting at or before t, clamped."""
-        idx = bisect.bisect_right(self.start_times(), t) - 1
+        idx = bisect.bisect_right(self._clock, t) - 1
         return max(0, min(idx, len(self.steps) - 1))
 
     def velocity_at(self, t: float, coords: np.ndarray) -> np.ndarray:
@@ -505,35 +505,30 @@ def norm_history(
 
 
 def estimate_mixer_constants(
-    flow: FlowMap, datum: ScalarField, decay_orders: Sequence[float] = (0.5, 1.0)
+    flow: FlowMap, datum: ScalarField, order: float = 0.5
 ) -> tuple[MixerConstants, dict[float, RateEstimate]]:
     """Measure mixing-rate constants of the protocol on the given datum.
 
-    The datum must have zero mean, and ``decay_orders`` must hold 1 and no
-    order twice.  The mixing rate c is the fitted decay rate of the order -1
-    norm, fitted without the first ``FIT_SKIP`` samples.  The decay
-    prefactor per order s is the measured upper envelope
+    The datum must have zero mean.  The norms of orders -``order`` and -1
+    are measured at the protocol's step start times and each is fitted
+    log-linearly without the first ``FIT_SKIP`` samples; the mixing rate c
+    is the fitted decay rate of the order -1 norm.  The decay prefactor
+    per order s (``order`` and 1) is the measured upper envelope
     max_t ||rho(t)||_{-s} * exp(s*c*t), so the decay bound holds at every
     sampled time by construction; prefactors are valid on the sampled
     window only.  The field prefactors (orders 1 and 2, L^2) are the
     measured velocity-norm maxima.  b is not measured: the fixed-amplitude
     protocol's velocity norms are constant in time, and runs take b = c.
     """
-    if 1.0 not in decay_orders:
-        raise ValueError(f"c is fitted at order 1, so decay_orders must hold 1: {decay_orders}")
+    orders = list(dict.fromkeys((float(order), 1.0)))
     times = flow.start_times()
-    history = norm_history(flow, datum, [-s for s in decay_orders], times)
-    fits: dict[float, RateEstimate] = {}
-    for s in decay_orders:
-        fits[float(s)] = fit_exponential_rate(times[FIT_SKIP:], history[-float(s)][FIT_SKIP:])
-    c = -fits[1.0].rate / 1.0
+    history = norm_history(flow, datum, [-s for s in orders], times)
+    fits = {s: fit_exponential_rate(times[FIT_SKIP:], history[-s][FIT_SKIP:]) for s in orders}
+    c = -fits[1.0].rate
     if c <= 0:
         raise ValueError("protocol does not mix: fitted order -1 rate is nonnegative")
     decay_prefactors = {
-        s: max(
-            v * math.exp(s * c * t) for t, v in zip(times, history[-float(s)])
-        )
-        for s in decay_orders
+        s: max(v * math.exp(s * c * t) for t, v in zip(times, history[-s])) for s in orders
     }
     grid = datum.grid
     field_prefactors = {}

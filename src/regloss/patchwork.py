@@ -89,14 +89,15 @@ class Condition(str, Enum):
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Parameters of the partial-loss construction.
+    """Inputs of the partial-loss construction, checked on construction.
 
-    beta = 1 - r + d/p measures how far the velocity space is from
-    embedding into Lipschitz; alpha is the spatial decay rate per unit
-    horizon; mu_bar is the fraction of the datum's order above which loss
-    is certified within the horizon, in the limit of critically chosen
-    alpha; the effective threshold of the generated schedule itself is
-    alpha/(alpha + c).
+    The derived rates are properties: beta = 1 - r + d/p > 0 measures how
+    far the velocity space is from embedding into Lipschitz; alpha =
+    alpha_margin*(r-1)*b/beta is the spatial decay rate per unit horizon;
+    mu_bar is the fraction of the datum's order above which loss is
+    certified within the horizon, in the limit of critically chosen alpha
+    (alpha_margin = 1); mu_effective = alpha/(alpha + c) is the threshold
+    of the generated schedule itself.
     """
 
     dimension: int
@@ -104,17 +105,37 @@ class ConstructionParams:
     p: float
     sigma: float
     horizon: float
-    alpha: float
-    beta: float
-    mu_bar: float
+    alpha_margin: float
     rate_b: float
     rate_c: float
 
     def __post_init__(self):
-        if not 0.0 < self.mu_bar < 1.0:
-            raise ValueError("loss threshold must lie in (0, 1)")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        d, r, p = self.dimension, self.r, self.p
+        if r <= 1:
+            raise LipschitzEmbeddingError("partial-loss mode needs a derivative order r > 1")
+        if not p < d / (r - 1):
+            raise LipschitzEmbeddingError(
+                f"p = {p} >= d/(r-1) = {d / (r - 1):g}: velocity space embeds in Lipschitz"
+            )
+        if self.rate_b <= 0 or self.rate_c <= 0:
+            raise ValueError("rate constants must be positive")
+        if self.horizon <= 0:
+            raise ValueError("horizon must be positive")
+        if self.alpha_margin < 1.0:
+            raise ValueError("alpha margin below 1 is inadmissible")
+
+    @property
+    def beta(self) -> float:
+        return 1.0 - self.r + self.dimension / self.p
+
+    @property
+    def alpha(self) -> float:
+        return self.alpha_margin * (self.r - 1) * self.rate_b / self.beta
+
+    @property
+    def mu_bar(self) -> float:
+        growth = (self.r - 1) * self.rate_b
+        return growth / (growth + self.rate_c * self.beta)
 
     @property
     def mu_effective(self) -> float:
@@ -226,39 +247,14 @@ def partial_loss_schedule(
     n^-2 * exp(alpha*(d/2 - sigma)*T*n), with alpha = alpha_margin times
     the critical rate (r-1)*b/beta.  alpha_margin > 1 makes the velocity
     condition converge with margin; alpha_margin = 1 sits exactly at the
-    critical rate where the loss threshold reaches mu_bar.
+    critical rate where the loss threshold reaches mu_bar.  The inputs are
+    checked by ``ConstructionParams``.
     """
-    if r <= 1:
-        raise LipschitzEmbeddingError("partial-loss mode needs a derivative order r > 1")
-    if not p < dimension / (r - 1):
-        raise LipschitzEmbeddingError(
-            f"p = {p} >= d/(r-1) = {dimension / (r - 1):g}: velocity space embeds in Lipschitz"
-        )
-    if b <= 0 or c <= 0:
-        raise ValueError("rate constants must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if alpha_margin < 1.0:
-        raise ValueError("alpha margin below 1 is inadmissible")
-    beta = 1.0 - r + dimension / p
-    alpha = alpha_margin * (r - 1) * b / beta
-    mu_bar = (r - 1) * b / ((r - 1) * b + c * beta)
-    params = ConstructionParams(
-        dimension=dimension,
-        r=r,
-        p=p,
-        sigma=sigma,
-        horizon=horizon,
-        alpha=alpha,
-        beta=beta,
-        mu_bar=mu_bar,
-        rate_b=b,
-        rate_c=c,
-    )
+    params = ConstructionParams(dimension, r, p, sigma, horizon, alpha_margin, b, c)
     return Schedule(
-        lam=ExpPolySeries(1.0, 0.0, (-alpha * horizon,)),
+        lam=ExpPolySeries(1.0, 0.0, (-params.alpha * horizon,)),
         tau=ExpPolySeries(1.0, -1.0, ()),
-        gamma=ExpPolySeries(1.0, -2.0, (alpha * (dimension / 2.0 - sigma) * horizon,)),
+        gamma=ExpPolySeries(1.0, -2.0, (params.alpha * (dimension / 2.0 - sigma) * horizon,)),
         dimension=dimension,
         params=params,
     )
@@ -316,11 +312,15 @@ def evaluate_condition(
     b: float | None = None,
     c: float | None = None,
 ) -> ConditionCertificate:
-    """Assemble the condition's term family and classify it exactly."""
+    """Assemble the condition's term family and classify it exactly.
+
+    The certificate's ``params`` hold the schedule's ``as_dict()`` and the
+    keyword parameters the condition reads; d is the schedule's dimension.
+    """
     condition = Condition(condition)
     d = schedule.dimension
     lam, tau, gamma = schedule.lam, schedule.tau, schedule.gamma
-    params: dict = {"d": d, "schedule": schedule.as_dict()}
+    params: dict = {"schedule": schedule.as_dict()}
 
     def _need(**kwargs):
         for name, value in kwargs.items():
@@ -425,23 +425,23 @@ def evaluate_truncated_solution(
     count: int,
     t: float,
     window: Cube,
-    grid: Grid,
+    points: int,
 ) -> ScalarField:
     """Patched solution truncated to ``count`` pieces, sampled on a window.
 
     The window cube becomes the fundamental cell of the returned field's
-    grid.  Piece n is gamma_n times the base solution at its rescaled time
-    t/tau_n, mapped into its cube: the window nodes inside the cube are
-    taken to unit coordinates and pulled back through the base flow, and
-    each value is one sample of the base datum at its exact departure point
-    (``mixing.transported_values``).  Overlapping piece supports raise
-    ``GeometryError``; a piece whose rescaled time lies outside the base
-    protocol's span raises ``ValueError`` from ``transported_values``.
+    grid, with ``points`` nodes per axis.  Piece n is gamma_n times the
+    base solution at its rescaled time t/tau_n, mapped into its cube: the
+    window nodes inside the cube are taken to unit coordinates and pulled
+    back through the base flow, and each value is one sample of the base
+    datum at its exact departure point (``mixing.transported_values``).
+    Overlapping piece supports raise ``GeometryError``; a piece whose
+    rescaled time lies outside the base protocol's span raises
+    ``ValueError`` from ``transported_values``.
     """
-    if abs(grid.length - window.side) > 1e-12:
-        raise ValueError("window grid must use the window side as its cell length")
     if count < 1:
         raise ValueError("need at least one piece")
+    grid = Grid(schedule.dimension, points, window.side)
     cubes = place_cubes(schedule, count)
     lam_last = schedule.lam.term(count)
     if lam_last < 2.0 * grid.spacing:

@@ -290,11 +290,10 @@ def test_criterion_10_truncated_patched_solution(default_mix):
         lo = min(c.center[0] - c.half for c in cubes)
         hi = max(c.center[0] + c.half for c in cubes)
         window = Cube((0.5 * (lo + hi), cubes[0].center[1]), (hi - lo) * 1.05)
-        grid = Grid(2, 512, window.side)
         s = 0.5
         previous_layers = None
         for t in times:
-            theta = evaluate_truncated_solution(schedule, flow, datum, pieces, t, window, grid)
+            theta = evaluate_truncated_solution(schedule, flow, datum, pieces, t, window, 512)
             measured_sq = hs_norm(theta, s) ** 2
             piece_data = []
             for n in range(1, pieces + 1):
@@ -309,7 +308,7 @@ def test_criterion_10_truncated_patched_solution(default_mix):
             assert measured_sq >= orth >= series
         # pieces occupy pairwise disjoint nodes: pointwise products vanish
         layers = [
-            evaluate_truncated_solution(schedule, flow, datum, n, 0.05, window, grid).values
+            evaluate_truncated_solution(schedule, flow, datum, n, 0.05, window, 512).values
             for n in (1, 2, 3)
         ]
         second = layers[1] - layers[0]

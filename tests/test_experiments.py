@@ -106,6 +106,8 @@ def test_certificates_revalidate(tmp_path):
         assert payload["certificates"]
         for cert in payload["certificates"]:
             assert revalidate_certificate(cert)
+            # the dimension is the schedule's own, recorded once
+            assert "d" not in cert["params"]
     # the partial bundle sends B's r, p, b, t and C-hat through revalidation
     conditions = {cert["condition"] for cert in payload["certificates"]}
     assert {"B", "C-hat"} <= conditions
@@ -204,6 +206,31 @@ def test_norms_mode_table():
     assert cols == ["field_id", "s", "p", "method", "value"]
     methods = {r[3] for r in rows}
     assert "gagliardo" in methods and "multiplier" in methods
+
+
+@pytest.mark.parametrize(
+    "dimension, points, double_sum",
+    [(2, 64, True), (2, 128, False), (3, 16, True), (3, 32, False)],
+)
+def test_norms_mode_limits_the_double_sum_by_node_count(dimension, points, double_sum, monkeypatch):
+    # the double sum costs O(nodes^2): a 3-d grid of 32 points per side has
+    # 8 times the nodes of a 2-d grid of 64 and would cost 64 times as much
+    import regloss.experiments
+
+    calls = []
+    gagliardo = regloss.experiments.gagliardo_seminorm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].grid)
+        return gagliardo(*args, **kwargs)
+
+    monkeypatch.setattr(regloss.experiments, "gagliardo_seminorm", counted)
+    config = ExperimentConfig(
+        mode="norms", dimension=dimension, grid_points=points, orders=(0.0, 0.5)
+    )
+    _, rows = run_experiment(config).tables["norm_table"]
+    assert len(calls) == double_sum
+    assert ("gagliardo" in {r[3] for r in rows}) == double_sum
 
 
 def test_sweep_mode_smoke():

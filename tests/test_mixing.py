@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates, spline_filter
+from scipy.special import jv
 
 from regloss import (
     CFLError,
@@ -37,6 +38,15 @@ def test_single_step_protocol():
     flow = build_mixing_protocol(1, 0.25, 0.25, 1.0)
     assert len(flow.steps) == 1
     assert flow.total_time == 0.25
+
+
+def test_total_time_is_the_last_start_time():
+    # one running clock: fsum(6 x 0.1) = 0.6000000000000001, the running sum is 0.6
+    flow = FlowMap(tuple(ShearStep(i % 2, (i + 1) % 2, 1.0, 0.0, 0.1) for i in range(6)))
+    assert flow.total_time == flow.start_times()[-1]
+    assert flow.step_index(flow.total_time) == 5
+    protocol = build_mixing_protocol(5, 2.5, 0.125, 3.2)
+    assert protocol.total_time == protocol.start_times()[-1]
 
 
 def test_protocol_validation():
@@ -107,6 +117,45 @@ def test_partial_step_composition():
     out = exact_solution_at(datum, step, 0.35)
     closed = np.sin(2 * np.pi * (x[0] - 0.35 * 0.5 * np.sin(2 * np.pi * x[1] + 0.2)))
     assert np.max(np.abs(out.values - closed)) < 1e-8
+
+
+def _sheared_cosine_hs_sq(m: int, z: float, s: float) -> float:
+    """Squared order-s norm of cos(2 pi m x - z sin(2 pi y + phase)), by Jacobi-Anger.
+
+    The state has modes (m, -n) and (-m, n) with coefficients J_n(z)/2, so
+    its norm is 1/2 sum_n J_n(z)^2 (2 pi)^(2s) (m^2 + n^2)^s; J_n(z) is
+    below rounding for |n| > 200 at the z used here.
+    """
+    n = np.arange(-200, 201)
+    return 0.5 * float(np.sum(jv(n, z) ** 2 * (2 * np.pi) ** (2 * s) * (m * m + n * n) ** s))
+
+
+# worst measured relative hs_norm error and absolute value error, over the
+# three shears below and orders -1 to 1: 8.5e-15 and 1.5e-14 for m = 1;
+# 3.3e-11 and 5.8e-11 for m = 4, the quintic spline's interpolation error
+SHEARED_COSINE_TOLERANCES = {1: (3e-14, 5e-14), 4: (1e-10, 2e-10)}
+
+
+@pytest.mark.parametrize("m", sorted(SHEARED_COSINE_TOLERANCES))
+@pytest.mark.parametrize(
+    "amplitude, phase, t", [(1.0, 0.3, 0.5), (0.8, 1.7, 0.75), (1.3, 4.0, 1.0)]
+)
+def test_single_shear_matches_the_closed_form_at_production_resolution(m, amplitude, phase, t):
+    g = Grid(2, 256)
+    x = g.coordinates()
+    datum = ScalarField(g, np.cos(2 * np.pi * m * x[0]))
+    flow = FlowMap((ShearStep(0, 1, amplitude, phase, 1.0),))
+    norm_tol, value_tol = SHEARED_COSINE_TOLERANCES[m]
+    z = 2 * np.pi * m * amplitude * t
+    state = exact_solution_at(datum, flow, t)
+    for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        exact = math.sqrt(_sheared_cosine_hs_sq(m, z, s))
+        assert abs(hs_norm(state, s) - exact) <= norm_tol * exact, s
+    points = np.random.default_rng(m).uniform(0.0, 1.0, (2, 1000))
+    closed = np.cos(
+        2 * np.pi * m * (points[0] - amplitude * t * np.sin(2 * np.pi * points[1] + phase))
+    )
+    assert np.max(np.abs(transported_values(datum, flow, t, points) - closed)) <= value_tol
 
 
 def test_transported_values_at_and_between_the_nodes():
@@ -452,10 +501,14 @@ def test_norm_history_refuses_repeated_orders():
             norm_history(flow, datum, orders, flow.start_times()[:3])
 
 
-def test_estimate_mixer_constants_needs_order_one():
+def test_estimate_mixer_constants_always_fits_order_one():
     datum, flow = _default_protocol(32)
-    with pytest.raises(ValueError, match="c is fitted at order 1"):
-        estimate_mixer_constants(flow, datum, decay_orders=(0.5,))
+    default, fits = estimate_mixer_constants(flow, datum)
+    assert sorted(fits) == sorted(default.decay_prefactors) == [0.5, 1.0]
+    alone, fits_alone = estimate_mixer_constants(flow, datum, 1.0)
+    assert list(fits_alone) == list(alone.decay_prefactors) == [1.0]
+    assert alone.mixing_rate == default.mixing_rate
+    assert alone.decay_prefactors[1.0] == default.decay_prefactors[1.0]
 
 
 def test_estimate_mixer_constants_contract():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from regloss import (
     Condition,
     ConditionCertificate,
+    ConstructionParams,
     Cube,
     ExpPolySeries,
     GeometryError,
@@ -71,6 +73,38 @@ def test_partial_loss_embedding_guard():
         partial_loss_schedule(3, 1.0, 2.0, 1.0, 1.0, b=1.0, c=1.0)
     with pytest.raises(ValueError):
         partial_loss_schedule(3, 2.0, 2.0, 1.0, 1.0, b=1.0, c=1.0, alpha_margin=0.5)
+
+
+@pytest.mark.parametrize(
+    "r, p, b, c, margin, error",
+    [
+        (2.0, 3.0, 1.0, 1.0, 2.0, LipschitzEmbeddingError),  # p = d/(r-1)
+        (2.0, 4.0, 1.0, 1.0, 2.0, LipschitzEmbeddingError),
+        (1.0, 2.0, 1.0, 1.0, 2.0, LipschitzEmbeddingError),
+        (2.0, 2.0, 0.0, 1.0, 2.0, ValueError),
+        (2.0, 2.0, -1.0, 1.0, 2.0, ValueError),
+        (2.0, 2.0, 1.0, 1.0, 0.5, ValueError),
+    ],
+)
+def test_construction_params_refuse_what_the_schedule_refuses(r, p, b, c, margin, error):
+    with pytest.raises(error) as direct:
+        ConstructionParams(3, r, p, 1.0, 1.0, margin, b, c)
+    with pytest.raises(error) as scheduled:
+        partial_loss_schedule(3, r, p, 1.0, 1.0, b=b, c=c, alpha_margin=margin)
+    assert type(direct.value) is type(scheduled.value)
+    assert str(direct.value) == str(scheduled.value)
+
+
+def test_construction_params_store_only_their_inputs():
+    params = partial_loss_schedule(3, 2.0, 2.0, 1.0, 1.0, b=0.8, c=1.3).params
+    assert [f.name for f in dataclasses.fields(params)] == [
+        "dimension", "r", "p", "sigma", "horizon", "alpha_margin", "rate_b", "rate_c",
+    ]
+    assert params == ConstructionParams(3, 2.0, 2.0, 1.0, 1.0, 2.0, 0.8, 1.3)
+    beta = 1.0 - 2.0 + 3 / 2.0
+    assert params.beta == beta
+    assert params.alpha == 2.0 * (2.0 - 1) * 0.8 / beta
+    assert params.mu_bar == (2.0 - 1) * 0.8 / ((2.0 - 1) * 0.8 + 1.3 * beta)
 
 
 def test_place_cubes_disjoint_compact_accumulating():
@@ -273,8 +307,7 @@ def test_truncated_solution_single_piece(base_pair):
     grid, datum, flow = base_pair
     sch = total_loss_schedule()
     cube1 = place_cubes(sch, 1)[0]
-    wgrid = Grid(2, 128, cube1.side)
-    theta = evaluate_truncated_solution(sch, flow, datum, 1, 0.05, cube1, wgrid)
+    theta = evaluate_truncated_solution(sch, flow, datum, 1, 0.05, cube1, 128)
     gamma1 = sch.gamma.term(1)
     state = exact_solution_at(datum, flow, 0.05 / sch.tau.term(1))
     assert np.max(theta.values) == pytest.approx(gamma1 * np.max(state.values), rel=2e-2)
@@ -285,8 +318,7 @@ def test_single_piece_norm_follows_rescaling_chain(base_pair):
     grid, datum, flow = base_pair
     sch = total_loss_schedule(dimension=2)
     cube1 = place_cubes(sch, 1)[0]
-    wgrid = Grid(2, 256, cube1.side)
-    theta = evaluate_truncated_solution(sch, flow, datum, 1, 0.0, cube1, wgrid)
+    theta = evaluate_truncated_solution(sch, flow, datum, 1, 0.0, cube1, 256)
     lam1, gam1, d = sch.lam.term(1), sch.gamma.term(1), 2
     for sigma in (0.25, 0.5, 0.75):
         predicted = gam1 * (hs_norm(datum, sigma) * lam1 ** (d / 2 - sigma))
@@ -299,10 +331,9 @@ def test_truncated_solution_pieces_disjoint(base_pair):
     grid, datum, flow = base_pair
     sch = total_loss_schedule()
     window = _window(sch, 3)
-    wgrid = Grid(2, 256, window.side)
     layers = []
     for n in (1, 2, 3):
-        theta_n = evaluate_truncated_solution(sch, flow, datum, n, 0.05, window, wgrid)
+        theta_n = evaluate_truncated_solution(sch, flow, datum, n, 0.05, window, 256)
         layers.append(theta_n.values)
     piece2 = layers[1] - layers[0]
     piece3 = layers[2] - layers[1]
@@ -318,11 +349,10 @@ def test_truncated_solution_interpolates_the_datum_once(base_pair):
     _, _, flow = base_pair
     sch = total_loss_schedule()
     window = _window(sch, 3)
-    wgrid = Grid(2, 128, window.side)
     fields = []
     for m in (128, 512):
         datum = demean(make_bump(Grid(2, m), (0.5, 0.5), 0.125, 1.0))
-        fields.append(evaluate_truncated_solution(sch, flow, datum, 3, 0.1, window, wgrid).values)
+        fields.append(evaluate_truncated_solution(sch, flow, datum, 3, 0.1, window, 128).values)
     gap = np.linalg.norm(fields[0] - fields[1]) / np.linalg.norm(fields[1])
     assert gap < 2e-3
 
@@ -331,9 +361,8 @@ def test_truncated_solution_initial_norm_triangle_bound(base_pair):
     grid, datum, flow = base_pair
     sch = total_loss_schedule()
     window = _window(sch, 3)
-    wgrid = Grid(2, 256, window.side)
     sigma = 0.5
-    theta0 = evaluate_truncated_solution(sch, flow, datum, 3, 0.0, window, wgrid)
+    theta0 = evaluate_truncated_solution(sch, flow, datum, 3, 0.0, window, 256)
     datum_norm = hs_norm(datum, sigma)
     triangle = sum(
         sch.gamma.term(n) * sch.lam.term(n) ** (1.0 - sigma) * datum_norm
@@ -346,13 +375,10 @@ def test_truncated_solution_guards(base_pair):
     grid, datum, flow = base_pair
     sch = total_loss_schedule()
     cube1 = place_cubes(sch, 1)[0]
-    with pytest.raises(ValueError):
-        evaluate_truncated_solution(sch, flow, datum, 1, 0.05, cube1, Grid(2, 64, 1.0))
-    tiny = Grid(2, 16, cube1.side)
     with pytest.raises(ResolutionError):
-        evaluate_truncated_solution(sch, flow, datum, 6, 0.01, cube1, tiny)
+        evaluate_truncated_solution(sch, flow, datum, 6, 0.01, cube1, 16)
     with pytest.raises(ValueError):
-        evaluate_truncated_solution(sch, flow, datum, 1, 5.0, cube1, Grid(2, 64, cube1.side))
+        evaluate_truncated_solution(sch, flow, datum, 1, 5.0, cube1, 64)
 
 
 def test_truncated_solution_rejects_overlapping_pieces(base_pair, monkeypatch):
@@ -363,7 +389,7 @@ def test_truncated_solution_rejects_overlapping_pieces(base_pair, monkeypatch):
     cube1 = place_cubes(sch, 1)[0]
     monkeypatch.setattr(regloss.patchwork, "place_cubes", lambda schedule, count: [cube1] * count)
     with pytest.raises(GeometryError, match="piece 2 overlaps"):
-        evaluate_truncated_solution(sch, flow, datum, 2, 0.0, cube1, Grid(2, 64, cube1.side))
+        evaluate_truncated_solution(sch, flow, datum, 2, 0.0, cube1, 64)
 
 
 def test_schedule_serialization_round_trip():

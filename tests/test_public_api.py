@@ -1,13 +1,17 @@
-"""The package's public names and each module's ``__all__`` agree.
+"""The package's public names, each module's ``__all__`` and the README agree.
 
 Every name a module lists in ``__all__`` must exist, and every public
 name the ``regloss`` package exports must be listed by some module, so a
-deletion that leaves a stale export or an unlisted name fails here.
+deletion that leaves a stale export or an unlisted name fails here.  The
+README's library tour runs as written, so a changed signature cannot
+leave it stale.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import regloss
 
@@ -31,3 +35,12 @@ def test_every_public_package_name_is_in_some_all():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported and exported <= listed, sorted(exported - listed)
+
+
+def test_readme_library_tour_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"^## Library tour\n+```python\n(.*?)^```", readme, re.M | re.S)
+    assert tour, "README.md has no python block under '## Library tour'"
+    exec(compile(tour.group(1), "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and printed[-1].startswith("divergent - ")

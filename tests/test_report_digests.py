@@ -28,6 +28,7 @@ CONFIGS = {
         "t_grid": [0.005, 0.37, 1.2, 2.0],
     },
     "partial-800.json": {"threshold_samples": 800},
+    "norms-3d.json": {"dimension": 3},
 }
 
 DIGESTS = {
@@ -42,19 +43,24 @@ DIGESTS = {
         "norm_table.csv": "53aa7f450c87e84334594cbb6d3cbd74c9cfddceb705739e6e80107e9e388bf1",
         "summary.txt": "d38774526cb5058bdda3e90f0f0bd194f4fc54d96cade62e9eb6f5341091c10f",
     },
+    "norms --grid 16 --config norms-3d.json": {
+        "certificates.json": "68f7bcac3f126b7a40725209bc6bfa64b078db84f1670e65b1413c19c21ad15b",
+        "norm_table.csv": "07329e783494856bf722e468fd0165eaad3dcfa3570b6744a91d3530be164058",
+        "summary.txt": "53313d04bfa5e3341fe330314302ea1817b17871229f175445b9b7334017faef",
+    },
     "certify --target total": {
         "blowup_sweep_d2.csv": "b57de4c39516c574c5f4e44704df7ab237cc5aa0791e615092035cc313376ed9",
         "blowup_sweep_d3.csv": "f578a7544325dbce6298994f938916d08b0ccf09d6398c620303e93ecc6ddaf1",
-        "certificates.json": "06b01f3880e1f1573166c3245a1bf50dd6702431b86cb6d98545c1986bca8294",
+        "certificates.json": "9e855a2f5700bb124ad69b5ca3c123e585d873def92d0e416cc128b52e5ee4a5",
         "summary.txt": "015aaff1f1421fead384c7d2cde1f5dab13861c9c5f168251cb8324c2c69039e",
     },
     "certify --target partial --rate-b 0.9 --rate-c 1.3": {
-        "certificates.json": "e61c97945fbf45beb60b0790b34952d6b8464dad7726f7bf32fd80d94ddaa72a",
+        "certificates.json": "53673e037d5b590d67fbeb83b0029d251e899eddc3d9c042c0f6703ab97c2652",
         "loss_threshold.csv": "30e3cea8bda5896132079cc506f07bdd3023b9a3435beb95ef1c3fdaceb25015",
         "summary.txt": "1023b6a6be6a57edbe16ca764e1c21c745d84cef37522a1a01dee39ee33ee71a",
     },
     "certify --target partial --grid 64": {
-        "certificates.json": "98c8ecc3f1519b69dc316ced88d9cced70abd4aa466f0de853a6ecfe4822d189",
+        "certificates.json": "88267236107e26ae2bdde07a24f33504f5f7fc0d83144cbe7df11ada61543c3c",
         "loss_threshold.csv": "f1ab44d88691dcc63eb00572fe27ab71981affb8cf5884048547789c4a2d064d",
         "summary.txt": "2c6c96fb37595ba86c5674c9383e8f1cda5241f07344c6949d371c3a8a658b6d",
     },
@@ -77,11 +83,11 @@ DIGESTS = {
     "certify --target total --config total-40x4.json": {
         "blowup_sweep_d2.csv": "aab3b837441f0562cf51e46d83c401caaded1478314607c55ea730648200761d",
         "blowup_sweep_d3.csv": "b51cdb6f7ec08148384864dc01f5e4e61cdccec2e7c6061eab6cdadc5b23aa10",
-        "certificates.json": "4897fab1b19553b49f5584bdc9ff3072d046e5fe425a056dce88754bce6ade78",
+        "certificates.json": "30bec6f254f174b0454426f390cb46329c20de25208a1120fcd79ad18b41ef25",
         "summary.txt": "e61ef0197ddcefc6ba11f4a5b74847d85277c3a6c5006f7651afffdd0d6dfe26",
     },
     "certify --target partial --rate-b 0.9 --rate-c 1.3 --config partial-800.json": {
-        "certificates.json": "2744e0f0ab406d10d2abf8838be21c1e6a460b7364f4db037dfa73ad035381ab",
+        "certificates.json": "e215586cb37d5a90d42b04e0608ae6bf88edd19c26feb0334be46012639f770d",
         "loss_threshold.csv": "98d49a5a0dd027e98691537f7609dca2b30f056dc5d159c6fd5a95b20b6f2f35",
         "summary.txt": "6cd4c3e2177e98b4344c9a58f6602962e87475bcbecd5c110563a6f83bbc32e6",
     },
