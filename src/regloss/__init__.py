@@ -49,11 +49,13 @@ from .patchwork import (
     Schedule,
     UnsupportedScheduleError,
     blowup_time,
+    check_velocity_space,
     evaluate_condition,
     evaluate_truncated_solution,
     hs_lower_bound_partial_sums,
     partial_loss_schedule,
     place_cubes,
+    revalidate_certificate,
     total_loss_schedule,
 )
 from .series import (
@@ -78,7 +80,6 @@ from .experiments import (
     ExperimentConfig,
     ReportBundle,
     emit_report,
-    revalidate_certificate,
     run_experiment,
 )
 

@@ -28,13 +28,15 @@ from .mixing import (
 from .patchwork import (
     Condition,
     ConditionCertificate,
-    Schedule,
+    LipschitzEmbeddingError,
     blowup_time,
+    check_velocity_space,
     evaluate_condition,
     evaluate_truncated_solution,
     hs_lower_bound_partial_sums,
     partial_loss_schedule,
     place_cubes,
+    revalidate_certificate,
     total_loss_schedule,
 )
 from .sobolev import gagliardo_seminorm, hs_norm, orthogonality_lower_bound, wsp_norm
@@ -149,12 +151,6 @@ class ExperimentConfig:
         )
         if any(getattr(self, name) is not None for name in unread):
             raise ConfigError(f"{'/'.join(unread)}: unused in mode {self.mode}; leave unset")
-        measured = self.mode in ("lower-bound-sweep", "truncated-solution")
-        # sweep, solve and certify-partial without both rates fit rates on the
-        # seeded protocol, which needs a flow that moves the datum
-        injected = self.rate_b is not None and self.rate_c is not None
-        if self.amplitude == 0 and (measured or (self.mode == "certify-partial" and not injected)):
-            raise ConfigError("amplitude: measured rates need a nonzero value, got 0")
         for name, least in (
             ("construction_dimension", 2), ("threshold_samples", 1),
             ("sweep_max_terms", 1), ("pieces", 1),
@@ -162,14 +158,10 @@ class ExperimentConfig:
             if getattr(self, name) < least:
                 raise ConfigError(f"{name}: must be >= {least}, got {getattr(self, name)}")
         if self.mode == "certify-partial":
-            if self.r <= 1:
-                raise ConfigError(f"r: partial-loss mode needs r > 1, got {self.r}")
-            # W^{r,p} needs p >= 1, and p < d/(r-1) keeps it out of Lipschitz
-            if not 1 <= self.p < self.construction_dimension / (self.r - 1):
-                raise ConfigError(
-                    f"p: must lie in [1, d/(r-1)) = "
-                    f"[1, {self.construction_dimension / (self.r - 1):g}), got {self.p}"
-                )
+            try:
+                check_velocity_space(self.construction_dimension, self.r, self.p)
+            except LipschitzEmbeddingError as exc:
+                raise ConfigError(str(exc)) from exc
         for name in ("sweep_order", "solve_order"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -299,7 +291,7 @@ def _run_mix(config: ExperimentConfig, bundle: ReportBundle) -> None:
     fit_rows = []
     for s in config.orders:
         values = history[float(s)]
-        if any(v <= 0 for v in values):
+        if not all(0 < v < math.inf for v in values):
             continue
         est = fit_exponential_rate(times[FIT_SKIP:], values[FIT_SKIP:])
         fit_rows.append((s, est.rate, est.log_prefactor, est.r_squared, est.window[0], est.window[1]))
@@ -525,12 +517,3 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
     for name, text in texts.items():
         (out / name).write_text(text)
     return [str(out / name) for name in texts]
-
-
-def revalidate_certificate(data: dict) -> bool:
-    """Re-derive a serialized certificate and compare verdict and series."""
-    cert = ConditionCertificate.from_dict(data)
-    schedule = Schedule.from_dict(cert.params["schedule"])
-    kwargs = {key: value for key, value in cert.params.items() if key != "schedule"}
-    fresh = evaluate_condition(schedule, cert.condition, **kwargs)
-    return fresh.verdict == cert.verdict and fresh.series == cert.series

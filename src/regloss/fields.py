@@ -110,15 +110,6 @@ class Cube:
     def half(self) -> float:
         return 0.5 * self.side
 
-    def distance_to(self, other: "Cube") -> float:
-        """Euclidean gap between the two closed cubes (0 if they touch)."""
-        gap2 = 0.0
-        for a, b in zip(self.center, other.center):
-            g = abs(a - b) - self.half - other.half
-            if g > 0:
-                gap2 += g * g
-        return math.sqrt(gap2)
-
 
 def _readonly(values: np.ndarray) -> np.ndarray:
     out = np.array(values, dtype=float, copy=True)

@@ -403,7 +403,10 @@ class RateEstimate:
 def fit_exponential_rate(times: Sequence[float], values: Sequence[float]) -> RateEstimate:
     """Least-squares line through (t, log value).
 
-    Zero-variance input reports rate 0 with r^2 = 1 by convention.
+    Every value must be positive and finite: a zero, negative, infinite
+    (the zero-mode value of a negative-order norm) or NaN value raises
+    ``ValueError``.  Zero-variance input reports rate 0 with r^2 = 1 by
+    convention.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -411,8 +414,8 @@ def fit_exponential_rate(times: Sequence[float], values: Sequence[float]) -> Rat
         raise ValueError("times and values must be 1-d and equally long")
     if t.size < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {t.size}")
-    if np.any(v <= 0):
-        raise ValueError("all values must be positive for a log-linear fit")
+    if not np.all((v > 0) & (v < math.inf)):
+        raise ValueError("all values must be positive and finite for a log-linear fit")
     y = np.log(v)
     window = (float(t.min()), float(t.max()))
     if np.ptp(y) == 0.0:
@@ -450,11 +453,11 @@ class MixerConstants:
     l2_norm: float
 
     def __post_init__(self):
-        if self.mixing_rate <= 0 or self.l2_norm <= 0:
+        if not (self.mixing_rate > 0 and self.l2_norm > 0):
             raise ValueError("the mixing rate and the L2 norm must be positive")
-        if any(v <= 0 for v in self.field_prefactors.values()):
+        if not all(v > 0 for v in self.field_prefactors.values()):
             raise ValueError("field prefactors must be positive")
-        if any(v <= 0 for v in self.decay_prefactors.values()):
+        if not all(v > 0 for v in self.decay_prefactors.values()):
             raise ValueError("decay prefactors must be positive")
         object.__setattr__(self, "field_prefactors", MappingProxyType(dict(self.field_prefactors)))
         object.__setattr__(self, "decay_prefactors", MappingProxyType(dict(self.decay_prefactors)))
@@ -525,7 +528,7 @@ def estimate_mixer_constants(
     history = norm_history(flow, datum, [-s for s in orders], times)
     fits = {s: fit_exponential_rate(times[FIT_SKIP:], history[-s][FIT_SKIP:]) for s in orders}
     c = -fits[1.0].rate
-    if c <= 0:
+    if not c > 0:
         raise ValueError("protocol does not mix: fitted order -1 rate is nonnegative")
     decay_prefactors = {
         s: max(v * math.exp(s * c * t) for t, v in zip(times, history[-s])) for s in orders

@@ -48,10 +48,12 @@ __all__ = [
     "ConstructionParams",
     "Schedule",
     "ConditionCertificate",
+    "check_velocity_space",
     "total_loss_schedule",
     "partial_loss_schedule",
     "place_cubes",
     "evaluate_condition",
+    "revalidate_certificate",
     "blowup_time",
     "hs_lower_bound_partial_sums",
     "evaluate_truncated_solution",
@@ -71,7 +73,7 @@ class ResolutionError(ValueError):
 
 
 class LipschitzEmbeddingError(ValueError):
-    """Velocity space embeds into Lipschitz; the construction cannot apply."""
+    """(r, p) outside the partial-loss range: W^{r,p} embeds into Lipschitz, or p < 1."""
 
 
 class Condition(str, Enum):
@@ -87,12 +89,40 @@ class Condition(str, Enum):
     NORM_BLOWUP = "D"  # order-s norm infinite at time t
 
 
+# the inputs each condition reads besides its schedule, and so records
+_INPUTS = {
+    Condition.CUBE_PLACEMENT: (),
+    Condition.VELOCITY_NORM: ("r", "p", "b", "t"),
+    Condition.VELOCITY_BOUND: (),
+    Condition.VELOCITY_NORM_LIPSCHITZ: ("p",),
+    Condition.DATUM_NORM: ("sigma",),
+    Condition.DATUM_BOUND: (),
+    Condition.DATUM_L2: (),
+    Condition.NORM_BLOWUP: ("s", "t", "c"),
+}
+
+
+def check_velocity_space(dimension: int, r: float, p: float) -> None:
+    """Refuse (r, p) unless r > 1 and 1 <= p < d/(r-1): W^{r,p} Sobolev, not in Lipschitz.
+
+    The ``LipschitzEmbeddingError`` message starts with the refused name.
+    """
+    if not r > 1:
+        raise LipschitzEmbeddingError(f"r: partial-loss mode needs r > 1, got {r}")
+    if not 1 <= p < dimension / (r - 1):
+        raise LipschitzEmbeddingError(
+            f"p: must lie in [1, d/(r-1)) = [1, {dimension / (r - 1):g}), got {p}"
+        )
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     """Inputs of the partial-loss construction, checked on construction.
 
-    The derived rates are properties: beta = 1 - r + d/p > 0 measures how
-    far the velocity space is from embedding into Lipschitz; alpha =
+    (r, p) must pass ``check_velocity_space``; b, c and the horizon must be
+    positive and ``alpha_margin`` at least 1 (NaN fails).  The derived
+    rates are properties: beta = 1 - r + d/p > 0 measures how far the
+    velocity space is from embedding into Lipschitz; alpha =
     alpha_margin*(r-1)*b/beta is the spatial decay rate per unit horizon;
     mu_bar is the fraction of the datum's order above which loss is
     certified within the horizon, in the limit of critically chosen alpha
@@ -110,18 +140,12 @@ class ConstructionParams:
     rate_c: float
 
     def __post_init__(self):
-        d, r, p = self.dimension, self.r, self.p
-        if r <= 1:
-            raise LipschitzEmbeddingError("partial-loss mode needs a derivative order r > 1")
-        if not p < d / (r - 1):
-            raise LipschitzEmbeddingError(
-                f"p = {p} >= d/(r-1) = {d / (r - 1):g}: velocity space embeds in Lipschitz"
-            )
-        if self.rate_b <= 0 or self.rate_c <= 0:
+        check_velocity_space(self.dimension, self.r, self.p)
+        if not (self.rate_b > 0 and self.rate_c > 0):
             raise ValueError("rate constants must be positive")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if self.alpha_margin < 1.0:
+        if not self.alpha_margin >= 1.0:
             raise ValueError("alpha margin below 1 is inadmissible")
 
     @property
@@ -153,19 +177,14 @@ class Schedule:
     dimension: int
     params: ConstructionParams | None = None
 
-    def __post_init__(self):
-        # built once per schedule, not per certificate, to save run time:
-        # every certificate of this schedule records this one dict
-        object.__setattr__(self, "_dict", {
+    def as_dict(self) -> dict:
+        """Sequences and dimension as a new JSON-ready dict; ``params`` is not kept."""
+        return {
             "lam": self.lam.as_dict(),
             "tau": self.tau.as_dict(),
             "gamma": self.gamma.as_dict(),
             "dimension": self.dimension,
-        })
-
-    def as_dict(self) -> dict:
-        """The schedule as a JSON-ready dict, shared by every caller: read-only."""
-        return self._dict
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
@@ -179,17 +198,17 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ConditionCertificate:
-    """Exact verdict for one condition, with the assembled series recorded.
+    """Exact verdict for one condition, and the ``evaluate_condition`` call behind it.
 
-    ``params`` is a read-only record: its ``"schedule"`` entry is the
-    schedule's own ``as_dict()``, built once per schedule to save run time
-    and shared by every certificate built from that schedule.
+    ``params`` is a new JSON-ready dict on every access: the schedule's
+    ``as_dict()`` under ``"schedule"``, then the inputs.
     """
 
+    schedule: Schedule
     condition: Condition
+    inputs: dict
     verdict: str  # convergent | divergent | bounded | unbounded
     series: ExpPolySeries
-    params: dict
     reason: str
 
     @property
@@ -197,24 +216,18 @@ class ConditionCertificate:
         """True when the condition certifies the good case (A-C family)."""
         return self.verdict in ("convergent", "bounded")
 
+    @property
+    def params(self) -> dict:
+        return {"schedule": self.schedule.as_dict(), **self.inputs}
+
     def to_dict(self) -> dict:
         return {
             "condition": self.condition.value,
             "verdict": self.verdict,
             "series": self.series.as_dict(),
-            "params": dict(self.params),
+            "params": self.params,
             "reason": self.reason,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConditionCertificate":
-        return cls(
-            condition=Condition(data["condition"]),
-            verdict=data["verdict"],
-            series=ExpPolySeries.from_dict(data["series"]),
-            params=dict(data["params"]),
-            reason=data["reason"],
-        )
 
 
 def total_loss_schedule(dimension: int = 2) -> Schedule:
@@ -300,54 +313,43 @@ def place_cubes(schedule: Schedule, count: int) -> list[Cube]:
     return cubes
 
 
-def evaluate_condition(
-    schedule: Schedule,
-    condition: Condition,
-    *,
-    s: float | None = None,
-    t: float | None = None,
-    r: float | None = None,
-    p: float | None = None,
-    sigma: float | None = None,
-    b: float | None = None,
-    c: float | None = None,
-) -> ConditionCertificate:
+def evaluate_condition(schedule: Schedule, condition: Condition, **inputs) -> ConditionCertificate:
     """Assemble the condition's term family and classify it exactly.
 
-    The certificate's ``params`` hold the schedule's ``as_dict()`` and the
-    keyword parameters the condition reads; d is the schedule's dimension.
+    ``inputs`` are exactly the keywords the condition reads: r, p, b, t
+    for B; p for B-hat; sigma for C; s, t, c for D; none for the others.
+    A missing or an extra one raises ``ValueError`` naming it.  The
+    certificate keeps the call; d is the schedule's dimension.
     """
     condition = Condition(condition)
+    reads = _INPUTS[condition]
+    for name in reads:
+        if name not in inputs:
+            raise ValueError(f"condition {condition.value} needs parameter {name!r}")
+    for name in inputs:
+        if name not in reads:
+            raise ValueError(f"condition {condition.value} reads no parameter {name!r}")
     d = schedule.dimension
     lam, tau, gamma = schedule.lam, schedule.tau, schedule.gamma
-    params: dict = {"schedule": schedule.as_dict()}
-
-    def _need(**kwargs):
-        for name, value in kwargs.items():
-            if value is None:
-                raise ValueError(f"condition {condition.value} needs parameter {name!r}")
-            params[name] = value
 
     if condition is Condition.CUBE_PLACEMENT:
         series = lam
         result = classify(series)
     elif condition is Condition.VELOCITY_NORM:
-        _need(r=r, p=p, b=b, t=t)
+        r, p, b, t = inputs["r"], inputs["p"], inputs["b"], inputs["t"]
         m = _clock_degree(tau)
         series = product_and_power(
             [lam, tau, exp_factor((r - 1.0) * b * t, m)], [1.0 - r + d / p, -1.0, 1.0]
         )
         result = classify(series)
     elif condition is Condition.VELOCITY_NORM_LIPSCHITZ:
-        _need(p=p)
-        series = product_and_power([lam, tau], [d / p, -1.0])
+        series = product_and_power([lam, tau], [d / inputs["p"], -1.0])
         result = classify(series)
     elif condition is Condition.VELOCITY_BOUND:
         series = product_and_power([lam, tau], [1.0, -1.0])
         result = classify_bounded(series)
     elif condition is Condition.DATUM_NORM:
-        _need(sigma=sigma)
-        series = product_and_power([gamma, lam], [1.0, d / 2.0 - sigma])
+        series = product_and_power([gamma, lam], [1.0, d / 2.0 - inputs["sigma"]])
         result = classify(series)
     elif condition is Condition.DATUM_BOUND:
         series = gamma
@@ -355,22 +357,35 @@ def evaluate_condition(
     elif condition is Condition.DATUM_L2:
         series = product_and_power([gamma, lam], [1.0, d / 2.0])
         result = classify(series)
-    elif condition is Condition.NORM_BLOWUP:
-        _need(s=s, t=t, c=c)
+    else:  # Condition.NORM_BLOWUP
+        s, t, c = inputs["s"], inputs["t"], inputs["c"]
         m = _clock_degree(tau)
         series = product_and_power(
             [gamma, lam, exp_factor(2.0 * s * c * t, m)], [2.0, d - 2.0 * s, 1.0]
         )
         result = classify(series)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown condition {condition}")
     return ConditionCertificate(
+        schedule=schedule,
         condition=condition,
+        inputs=inputs,
         verdict=result.verdict,
         series=series,
-        params=params,
         reason=result.reason,
     )
+
+
+def revalidate_certificate(data: dict) -> bool:
+    """Re-run the call a serialized certificate records and compare the whole record.
+
+    The recorded ``params`` minus ``"schedule"`` are the call's inputs, so
+    a record holding an input its condition does not read raises the
+    ``ValueError`` of ``evaluate_condition`` naming it.  Otherwise the
+    result is True exactly when the fresh certificate's ``to_dict()``
+    equals ``data``: condition, verdict, series, params and reason.
+    """
+    inputs = dict(data["params"])
+    schedule = Schedule.from_dict(inputs.pop("schedule"))
+    return evaluate_condition(schedule, data["condition"], **inputs).to_dict() == data
 
 
 def blowup_time(s: float, sigma: float, alpha: float, c: float, horizon: float) -> float:

@@ -2,9 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regloss import (
     ConfigError,
+    ConstructionParams,
     ExperimentConfig,
     ReportBundle,
     emit_report,
@@ -27,6 +30,34 @@ def test_config_validation_reports_field():
         ExperimentConfig(mode="certify-partial", r=2.0, p=5.0)
     with pytest.raises(ConfigError, match="sweep_order"):
         ExperimentConfig(mode="lower-bound-sweep", sweep_order=1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    r=st.floats(0.5, 4.0, exclude_min=True, exclude_max=True),
+    p=st.floats(0.0, 8.0, exclude_min=True, exclude_max=True),
+)
+@example(d=3, r=2.0, p=0.5)
+@example(d=3, r=2.0, p=1.0)
+@example(d=3, r=2.0, p=3.0)
+@example(d=2, r=1.0, p=1.5)
+def test_config_refuses_exactly_the_construction_it_cannot_build(d, r, p):
+    try:
+        ConstructionParams(d, r, p, 1.0, 1.0, 2.0, 0.9, 1.3)
+    except ValueError as exc:
+        refused = exc
+    else:
+        refused = None
+    try:
+        ExperimentConfig(
+            mode="certify-partial", construction_dimension=d, r=r, p=p, rate_b=0.9, rate_c=1.3
+        )
+    except ConfigError as exc:
+        assert refused is not None and str(exc) == str(refused)
+        assert str(exc).split(":")[0] in ("r", "p")
+    else:
+        assert refused is None
 
 
 def test_config_rejects_unknown_fields():
@@ -431,6 +462,37 @@ def test_cli_config_error_from_the_run_exit_code(tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--grid", "64"],
+        ["solve", "--grid", "64", "--pieces", "2"],
+        ["certify", "--target", "partial", "--grid", "64"],
+    ],
+    ids=["sweep", "solve", "certify-partial"],
+)
+def test_cli_measured_rates_refuse_a_flow_with_infinite_norms(tmp_path, capsys, argv):
+    # each step moves points by more than 2**53, so a sampled state is
+    # constant up to rounding and its negative-order norms are inf
+    config_path = tmp_path / "wild.json"
+    config_path.write_text(json.dumps({"amplitude": 1e17}))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: amplitude: no rates can be measured: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_mix_skips_an_order_with_infinite_norms(tmp_path):
+    out = tmp_path / "out"
+    assert main(["mix", "--grid", "32", "--steps", "4", "--amplitude", "1e17", "--out", str(out)]) == 0
+    rates = (out / "rates.csv").read_text()
+    assert "nan" not in rates and "inf" not in rates
+    orders = [line.split(",")[0] for line in rates.splitlines()[1:]]
+    assert orders == ["0", "0.5", "1"]
 
 
 # settings that are constants now, each with the value it always held

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from regloss import (
-    Cube,
     GeometryError,
     Grid,
     VectorField,
@@ -115,11 +114,4 @@ def test_vector_field_divergence_flag():
     compressive = VectorField(g, (np.sin(2 * np.pi * x[0]), np.zeros(g.shape)))
     assert shear.spectral_divergence() < 1e-10
     assert compressive.spectral_divergence() >= 1e-10
-
-
-def test_cube_gap():
-    a = Cube((0.0, 0.0), 1.0)
-    b = Cube((2.0, 0.0), 1.0)
-    assert a.distance_to(b) == pytest.approx(1.0)
-    assert a.distance_to(Cube((0.5, 0.0), 1.0)) == 0.0
 

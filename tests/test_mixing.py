@@ -30,6 +30,7 @@ from regloss import (
     norm_history,
     transported_values,
     velocity_norm_series,
+    wsp_norm,
 )
 from regloss.mixing import _prefilter_halves, protocol_to_json
 
@@ -156,6 +157,101 @@ def test_single_shear_matches_the_closed_form_at_production_resolution(m, amplit
         2 * np.pi * m * (points[0] - amplitude * t * np.sin(2 * np.pi * points[1] + phase))
     )
     assert np.max(np.abs(transported_values(datum, flow, t, points) - closed)) <= value_tol
+
+
+def _two_shear_cosine_spectrum(m: int, z: float, phi: float, w: float, psi: float):
+    """|xi|^2 and |c|^2 of the nonzero modes of cos(2 pi m x) after a shear along x, then along y.
+
+    The first shear (z = 2 pi m A t1, phase phi) leaves modes (m, -n) with
+    coefficients J_n(z) e^{-i n phi}/2 and their conjugates, as in the one-shear
+    case.  The second (w = 2 pi B t2, phase psi) multiplies the mode (m, -n)
+    by e^{i n w sin(2 pi x + psi)}, which by Jacobi-Anger spreads it over
+    (m + k, -n) with factors J_k(n w) e^{i k psi}.  The conjugate half lands
+    at (-m - k, n), so a mode collects at most two terms.  J_n(z) is below
+    rounding for |n| > 40 and J_k(n w) for |k| > 120 at the z and w used here.
+    """
+    n = np.arange(-40, 41)[:, None]
+    k = np.arange(-120, 121)[None, :]
+    half = 0.5 * jv(n, z) * jv(k, n * w) * np.exp(1j * (k * psi - n * phi))
+    a, b = np.broadcast_arrays(m + k, -n)
+    coefficients = np.zeros((2 * (120 + m) + 1, 81), dtype=complex)
+    np.add.at(coefficients, (a + 120 + m, b + 40), half)
+    np.add.at(coefficients, (-a + 120 + m, -b + 40), np.conj(half))
+    a = np.arange(-120 - m, 121 + m)[:, None]
+    b = np.arange(-40, 41)[None, :]
+    xi2 = (2 * np.pi) ** 2 * (a * a + b * b)
+    mask = xi2 > 0
+    return xi2[mask], np.abs(coefficients[mask]) ** 2
+
+
+# worst measured relative error of hs_norm and of wsp_norm at p = 2, over
+# the three shear pairs below and orders -1 to 1: 7.7e-15 for m = 1 and
+# 3.1e-11 for m = 4, as for one shear
+@pytest.mark.parametrize("m", sorted(SHEARED_COSINE_TOLERANCES))
+@pytest.mark.parametrize(
+    "first, second",
+    [((1.0, 0.3, 0.3), (0.7, 1.1, 0.25)),
+     ((0.8, 1.7, 0.25), (1.0, 4.0, 0.2)),
+     ((1.3, 4.0, 0.2), (0.6, 2.5, 0.3))],
+)
+def test_two_shears_match_the_closed_form_at_production_resolution(m, first, second):
+    g = Grid(2, 256)
+    datum = ScalarField(g, np.cos(2 * np.pi * m * g.coordinates()[0]))
+    (a, phi, t1), (b, psi, t2) = first, second
+    flow = FlowMap((ShearStep(0, 1, a, phi, t1), ShearStep(1, 0, b, psi, t2)))
+    state = exact_solution_at(datum, flow, t1 + t2)
+    norm_tol = SHEARED_COSINE_TOLERANCES[m][0]
+    xi2, energy = _two_shear_cosine_spectrum(
+        m, 2 * np.pi * m * a * t1, phi, 2 * np.pi * b * t2, psi
+    )
+    for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        exact = math.sqrt(float(np.sum(energy * xi2**s)))
+        assert abs(hs_norm(state, s) - exact) <= norm_tol * exact, s
+        assert abs(wsp_norm(state, s, 2.0) - exact) <= norm_tol * exact, s
+
+
+def _bump_at(points: np.ndarray, center, radius: float) -> np.ndarray:
+    """``make_bump``'s profile, with amplitude 1, at any points of the unit cell."""
+    r2 = sum((np.mod(x - c + 0.5, 1.0) - 0.5) ** 2 for x, c in zip(points, center))
+    t = r2 / radius**2
+    out = np.zeros_like(t)
+    inside = t < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside]))
+    return out
+
+
+# relative L2 gaps at the inputs of a crosscheck advect op (seed 22, op 96
+# of the benchmark): the demeaned bump of radius 0.1009, horizon 0.0892 and
+# CFL number 0.758 under the protocol's first shear.  Measured: the
+# semi-Lagrangian state lies 2.199e-3 (M=128) and 2.456e-4 (M=256) from the
+# closed form, exact transport 7.01e-4 and 4.30e-5; the gap between the two,
+# which the crosscheck gate bounds by 2e-3, is 2.082e-3 and 2.337e-4.
+# Each tolerance is its measured worst case plus about a tenth.
+SEMI_LAGRANGIAN_TOLERANCES = {128: (2.4e-3, 7.7e-4, 2.3e-3), 256: (2.7e-4, 4.7e-5, 2.6e-4)}
+
+
+@pytest.mark.parametrize("points", sorted(SEMI_LAGRANGIAN_TOLERANCES))
+def test_semi_lagrangian_matches_one_shear_closed_form(points):
+    g = Grid(2, points)
+    center, radius, horizon, cfl = (0.48748, 0.38070), 0.10093, 0.08923, 0.75849
+    raw = make_bump(g, center, radius, 1.0)
+    datum = demean(raw)
+    flow = build_mixing_protocol(
+        seed=521658799, total_time=0.125, step_duration=0.125, amplitude=1.2
+    )
+    steps = math.ceil(horizon * flow.max_speed() / (g.spacing * cfl))
+    dt = horizon / steps
+    approx = advect_semi_lagrangian(datum, flow, dt, steps).values
+    exact = exact_solution_at(datum, flow, dt * steps).values
+    x = g.coordinates()
+    (step,) = flow.steps
+    x[0] -= step.amplitude * dt * steps * np.sin(2 * np.pi * x[1] + step.phase)
+    closed = _bump_at(x, center, radius) - raw.values.mean()
+    sl_tol, exact_tol, gap_tol = SEMI_LAGRANGIAN_TOLERANCES[points]
+    scale = np.linalg.norm(closed)
+    assert np.linalg.norm(approx - closed) <= sl_tol * scale
+    assert np.linalg.norm(exact - closed) <= exact_tol * scale
+    assert np.linalg.norm(approx - exact) <= gap_tol * np.linalg.norm(exact)
 
 
 def test_transported_values_at_and_between_the_nodes():
@@ -415,6 +511,9 @@ def test_fit_exponential_rate_validation():
         fit_exponential_rate([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_exponential_rate([0.0, 1.0, 2.0], [1.0, -1.0, 2.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_exponential_rate([0.0, 1.0, 2.0], [1.0, bad, 2.0])
 
 
 def test_gronwall_lower_bound():
@@ -559,6 +658,14 @@ def test_mixer_constants_validation():
         MixerConstants(0.0, {1.0: 1.0}, {1.0: 1.0}, 1.0)
     with pytest.raises(ValueError):
         MixerConstants(1.0, {1.0: -1.0}, {1.0: 1.0}, 1.0)
+    for bad in (
+        (math.nan, {1.0: 1.0}, {1.0: 1.0}, 1.0),
+        (1.0, {1.0: 1.0}, {1.0: 1.0}, math.nan),
+        (1.0, {1.0: math.nan}, {1.0: 1.0}, 1.0),
+        (1.0, {1.0: 1.0}, {1.0: math.nan}, 1.0),
+    ):
+        with pytest.raises(ValueError, match="positive"):
+            MixerConstants(*bad)
 
 
 def test_monotone_mixing_trend(default_mix):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from regloss import (
     Condition,
-    ConditionCertificate,
     ConstructionParams,
     Cube,
     ExpPolySeries,
@@ -28,8 +28,16 @@ from regloss import (
     make_bump,
     partial_loss_schedule,
     place_cubes,
+    revalidate_certificate,
     total_loss_schedule,
 )
+
+
+def _gap(a: Cube, b: Cube) -> float:
+    """Euclidean gap between two closed cubes, 0 if they touch."""
+    return math.hypot(
+        *(max(0.0, abs(x - y) - a.half - b.half) for x, y in zip(a.center, b.center))
+    )
 
 
 def test_total_loss_schedule_terms():
@@ -81,6 +89,8 @@ def test_partial_loss_embedding_guard():
         (2.0, 3.0, 1.0, 1.0, 2.0, LipschitzEmbeddingError),  # p = d/(r-1)
         (2.0, 4.0, 1.0, 1.0, 2.0, LipschitzEmbeddingError),
         (1.0, 2.0, 1.0, 1.0, 2.0, LipschitzEmbeddingError),
+        (2.0, 0.5, 1.0, 1.0, 2.0, LipschitzEmbeddingError),  # p < 1: no Sobolev space
+        (2.0, 0.0, 1.0, 1.0, 2.0, LipschitzEmbeddingError),
         (2.0, 2.0, 0.0, 1.0, 2.0, ValueError),
         (2.0, 2.0, -1.0, 1.0, 2.0, ValueError),
         (2.0, 2.0, 1.0, 1.0, 0.5, ValueError),
@@ -112,7 +122,7 @@ def test_place_cubes_disjoint_compact_accumulating():
     cubes = place_cubes(sch, 10)
     for i in range(10):
         for j in range(i + 1, 10):
-            assert cubes[i].distance_to(cubes[j]) > 0.0
+            assert _gap(cubes[i], cubes[j]) > 0.0
     # sides shrink like the spatial scale and centers approach the origin
     for n, cube in enumerate(cubes, start=1):
         assert cube.side == pytest.approx(3.0 * math.exp(-n), rel=1e-12)
@@ -136,7 +146,7 @@ def test_place_cubes_sums_a_slowly_decaying_scale_in_closed_form():
         offset = cube.center[0] - cube.half
         assert offset == pytest.approx(6.0 * math.exp(q * (n + 1)) / -math.expm1(q), rel=1e-14)
     for n in (1, 2):
-        gap = cubes[n - 1].distance_to(cubes[n])
+        gap = _gap(cubes[n - 1], cubes[n])
         assert gap == pytest.approx(3.0 * sch.lam.term(n + 1), rel=1e-6)
 
 
@@ -398,18 +408,58 @@ def test_schedule_serialization_round_trip():
     assert again.lam == sch.lam and again.tau == sch.tau and again.gamma == sch.gamma
 
 
-def test_certificates_of_one_schedule_share_its_dict():
+def test_condition_refuses_an_input_it_does_not_read():
     sch = total_loss_schedule()
-    placement = evaluate_condition(sch, Condition.CUBE_PLACEMENT)
+    with pytest.raises(ValueError, match="condition A reads no parameter 's'"):
+        evaluate_condition(sch, Condition.CUBE_PLACEMENT, s=0.5)
+    with pytest.raises(ValueError, match="'s'"):
+        evaluate_condition(sch, Condition.CUBE_PLACEMENT, s=0.5, p=9.0)
+    with pytest.raises(ValueError, match="condition D reads no parameter 'r'"):
+        evaluate_condition(sch, Condition.NORM_BLOWUP, s=0.5, t=0.1, c=1.0, r=2.0)
+    with pytest.raises(ValueError, match="condition D needs parameter 'c'"):
+        evaluate_condition(sch, Condition.NORM_BLOWUP, s=0.5, t=0.1)
+
+
+def test_certificate_records_exactly_its_call():
+    sch = total_loss_schedule()
     blowup = evaluate_condition(sch, Condition.NORM_BLOWUP, s=0.5, t=0.1, c=1.0)
-    shared = sch.as_dict()
-    assert placement.params["schedule"] is shared
-    assert blowup.to_dict()["params"]["schedule"] is shared
-    assert Schedule.from_dict(shared).as_dict() == shared
+    assert blowup.schedule is sch and blowup.condition is Condition.NORM_BLOWUP
+    assert blowup.inputs == {"s": 0.5, "t": 0.1, "c": 1.0}
+    assert blowup.params == {"schedule": sch.as_dict(), "s": 0.5, "t": 0.1, "c": 1.0}
+    placement = evaluate_condition(sch, Condition.CUBE_PLACEMENT)
+    assert placement.inputs == {} and placement.params == {"schedule": sch.as_dict()}
+    # no two records share a dict
+    placement.params["schedule"]["dimension"] = 7
+    assert blowup.params["schedule"]["dimension"] == 2 == sch.as_dict()["dimension"]
 
 
-def test_certificate_serialization_round_trip():
-    sch = total_loss_schedule()
-    cert = evaluate_condition(sch, Condition.NORM_BLOWUP, s=0.5, t=0.1, c=1.0)
-    again = ConditionCertificate.from_dict(cert.to_dict())
-    assert again == cert
+def test_revalidation_compares_the_whole_record():
+    sch = partial_loss_schedule(3, 2.0, 2.0, 1.0, 1.0, b=0.9, c=1.3)
+    cert = evaluate_condition(sch, Condition.VELOCITY_NORM, r=2.0, p=2.0, b=0.9, t=1.0)
+    record = json.loads(json.dumps(cert.to_dict()))
+    assert revalidate_certificate(record)
+    edits = {
+        "verdict": lambda data: data.update(verdict="divergent"),
+        "series": lambda data: data["series"].update(c=2.0),
+        "params": lambda data: data["params"].update(b=1.0),
+        "schedule": lambda data: data["params"]["schedule"]["lam"].update(c=0.5),
+        "reason": lambda data: data.update(reason=data["reason"] + " (edited)"),
+        "extra key": lambda data: data.update(note="unchecked"),
+    }
+    for name, edit in edits.items():
+        edited = json.loads(json.dumps(record))
+        edit(edited)
+        assert not revalidate_certificate(edited), name
+    # A and C-hat read the same inputs, none
+    placement = evaluate_condition(sch, Condition.CUBE_PLACEMENT).to_dict()
+    assert revalidate_certificate(placement)
+    assert not revalidate_certificate({**placement, "condition": "C-hat"})
+
+
+def test_revalidation_names_an_input_the_condition_does_not_read():
+    # every certificate written before the dimension left params carries d
+    sch = total_loss_schedule(dimension=3)
+    record = evaluate_condition(sch, Condition.DATUM_NORM, sigma=1.0).to_dict()
+    record["params"]["d"] = 3
+    with pytest.raises(ValueError, match="condition C reads no parameter 'd'"):
+        revalidate_certificate(record)
